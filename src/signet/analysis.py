@@ -202,11 +202,10 @@ def predict(
     sp_ids = [
         e.id for e, c in zip(system.graph.edges, classes) if c.is_strictly_positive
     ]
+    sp_set = set(sp_ids)
     certificates["strictly_positive_edges"] = tuple(sp_ids)
     all_positive = all(c.is_positive for c in classes)
-    sp_blocks = connected_components(
-        system.graph, lambda e: e.id in set(sp_ids)
-    )
+    sp_blocks = connected_components(system.graph, lambda e: e.id in sp_set)
 
     if all_positive and len(sp_blocks) == 1:
         tag = (
@@ -216,7 +215,7 @@ def predict(
         )
         return Prediction(Verdict.AGREEMENT_GUARANTEED, tag, None, certificates)
 
-    non_strict = [e.id for e in system.graph.edges if e.id not in set(sp_ids)]
+    non_strict = [e.id for e in system.graph.edges if e.id not in sp_set]
 
     if len(non_strict) == 1:
         single = _predict_single(
@@ -304,7 +303,8 @@ def _predict_cycle_separated(
                     return None
     except CapExceeded:
         return None
-    rest = [e.id for e in system.graph.edges if e.id not in set(non_strict)]
+    non_strict_set = set(non_strict)
+    rest = [e.id for e in system.graph.edges if e.id not in non_strict_set]
     if not rest:
         return None
     try:

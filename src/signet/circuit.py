@@ -31,7 +31,7 @@ from .errors import (
     ValidationError,
 )
 from .graph import Graph, incidence, is_connected
-from .network import NetworkSystem
+from .network import NetworkSystem, ReducedLaplacian
 
 # Derivatives beyond this are clamped when assembling the Newton system;
 # power-law edges have infinite slope at zero tension and the clamp simply
@@ -110,22 +110,21 @@ def check_equivalent_edge_preconditions(
             )
 
 
-def _harmonic_start(system: NetworkSystem, p: int, q: int, zeta_pq: float):
+def _harmonic_start(
+    system: NetworkSystem, block: ReducedLaplacian, p: int, zeta_pq: float
+) -> np.ndarray:
     """Initial potentials: unweighted harmonic interpolation of the terminals.
 
     Keeps interior tensions away from zero so power-law edges start with a
     finite slope.
     """
-    n = system.node_count
-    y = np.zeros(n)
+    y = np.zeros(system.node_count)
     y[p - 1] = zeta_pq
-    free = [i for i in range(n) if i not in (p - 1, q - 1)]
-    if not free:
-        return y, np.array(free, dtype=int)
-    L = system.E @ system.ET
-    rhs = -(L[np.ix_(free, [p - 1])].ravel() * zeta_pq)
-    y[free] = np.linalg.solve(L[np.ix_(free, free)], rhs)
-    return y, np.array(free, dtype=int)
+    if block.size:
+        L = block.matrix(np.ones(system.edge_count))
+        rhs = np.bincount(block.pinned, minlength=block.size) * zeta_pq
+        y[block.free] = np.linalg.solve(L, rhs)
+    return y
 
 
 def solve_operating_point(
@@ -155,23 +154,27 @@ def solve_operating_point(
     if check_preconditions:
         check_equivalent_edge_preconditions(system)
 
-    E, ET = system.E, system.ET
     fns = system.edge_functions
-    y, free = _harmonic_start(system, p, q, zeta_pq)
-    if warm_start is not None:
+    block = system.reduced_laplacian(p, q)
+    free = block.free
+    if warm_start is None:
+        y = _harmonic_start(system, block, p, zeta_pq)
+    else:
         y = np.array(warm_start, dtype=float)
         y[p - 1] = zeta_pq
         y[q - 1] = 0.0
-    E_free = E[free] if free.size else np.zeros((0, system.edge_count))
 
-    def objective(yv: np.ndarray) -> float:
-        zeta = ET @ yv
-        return sum(f.cocontent(float(z)) for f, z in zip(fns, zeta))
+    n, tail, head = system.node_count, system.tail, system.head
 
-    def gradient(yv: np.ndarray):
-        zeta = ET @ yv
+    def evaluate(yv: np.ndarray):
+        """Objective, net outflow E mu per node, tension and flow at yv.
+
+        The outflow at the free nodes is the objective's gradient.
+        """
+        zeta = yv[tail] - yv[head]
         mu = system._flow(zeta)
-        return (E @ mu)[free], zeta, mu
+        F = sum(f.cocontent(float(z)) for f, z in zip(fns, zeta))
+        return F, np.bincount(tail, mu, n) - np.bincount(head, mu, n), zeta, mu
 
     def clamped_slopes(zeta: np.ndarray, mu: np.ndarray) -> np.ndarray:
         """Per-edge model slopes for the Newton system.
@@ -190,9 +193,9 @@ def solve_operating_point(
 
     degenerate = False
     iterations = 0
-    g, zeta, mu = gradient(y)
+    F, outflow, zeta, mu = evaluate(y)
+    g = outflow[free]
     if free.size:
-        F = objective(y)
         g_norm = float(np.max(np.abs(g)))
         for iterations in range(1, max_iter + 1):
             if g_norm <= grad_tol:
@@ -203,7 +206,7 @@ def solve_operating_point(
             d = clamped_slopes(zeta, mu)
             direction = None
             if np.all(d >= 0.0):
-                H = (E_free * d) @ E_free.T
+                H = block.matrix(d)
                 try:
                     direction = np.linalg.solve(H, -g)
                 except np.linalg.LinAlgError:
@@ -232,8 +235,8 @@ def solve_operating_point(
             for _ in range(_MAX_HALVINGS):
                 y_try = y.copy()
                 y_try[free] += step * direction
-                F_try = objective(y_try)
-                g_try, zeta_try, mu_try = gradient(y_try)
+                F_try, outflow_try, zeta_try, mu_try = evaluate(y_try)
+                g_try = outflow_try[free]
                 g_try_norm = float(np.max(np.abs(g_try)))
                 armijo = F_try <= F + _ARMIJO_C * step * slope
                 # Near the minimum the objective drop falls below float
@@ -255,7 +258,7 @@ def solve_operating_point(
                     f"gradient norm {g_norm:.3e}"
                 )
             y, F = y_try, F_try
-            g, zeta, mu = g_try, zeta_try, mu_try
+            g, outflow, zeta, mu = g_try, outflow_try, zeta_try, mu_try
             g_norm = g_try_norm
         else:
             raise NoConvergence(
@@ -267,13 +270,13 @@ def solve_operating_point(
         # flow stays unique while the objective is convex.
         d = clamped_slopes(zeta, mu)
         if np.all(d >= 0.0):
-            H = (E_free * d) @ E_free.T
+            H = block.matrix(d)
             try:
                 np.linalg.cholesky(H)
             except np.linalg.LinAlgError:
                 degenerate = True
 
-    terminal_flow = float((E @ mu)[p - 1])
+    terminal_flow = float(outflow[p - 1])
     zeta_bar = np.append(zeta, zeta_pq)
     mu_bar = np.append(mu, -terminal_flow)
     return OperatingPoint(

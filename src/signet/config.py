@@ -10,6 +10,7 @@ Unknown keys are rejected everywhere so typos fail loudly.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
@@ -58,10 +59,17 @@ def _require_keys(obj: dict, allowed: set[str], required: set[str], where: str):
         raise ValidationError(f"{where}: missing keys {sorted(missing)}")
 
 
-def _number(obj, where: str) -> float:
+def _number(obj, where: str, allow_inf: bool = False) -> float:
+    """A finite number; ``allow_inf`` also admits +inf (a disabled bound)."""
     if isinstance(obj, bool) or not isinstance(obj, (int, float)):
         raise ValidationError(f"{where}: expected a number, got {obj!r}")
-    return float(obj)
+    try:
+        value = float(obj)
+    except OverflowError:
+        value = math.inf if obj > 0 else -math.inf
+    if not (math.isfinite(value) or (allow_inf and value == math.inf)):
+        raise ValidationError(f"{where}: expected a finite number, got {obj!r}")
+    return value
 
 
 def _integer(obj, where: str) -> int:
@@ -210,7 +218,9 @@ def parse_config(text: str, base_dir: Optional[Path] = None) -> NetworkConfig:
         kwargs = {"t_end": _number(sec["t_end"], "sim.t_end")}
         for key in ("dt", "u_tol", "window", "blowup_threshold", "cluster_tol"):
             if key in sec:
-                kwargs[key] = _number(sec[key], f"sim.{key}")
+                kwargs[key] = _number(
+                    sec[key], f"sim.{key}", allow_inf=key == "blowup_threshold"
+                )
         if "record_every" in sec:
             kwargs["record_every"] = _integer(sec["record_every"], "sim.record_every")
         sim_cfg = SimConfig(**kwargs)

@@ -2,9 +2,11 @@
 
 Nodes are numbered 1..node_count and every edge carries an arbitrary but
 fixed orientation (tail -> head).  The orientation is an input, never chosen
-internally, so that tension signs are reproducible across runs.  Graphs here
-are small (tens of nodes); storage is dense and enumeration routines are
-guarded by an explicit node-count cap.
+internally, so that tension signs are reproducible across runs.  Graphs are
+stored as edge lists.  The dense incidence matrix is formed only on request,
+as a reference for small graphs; the simulation and solver paths work on
+edge index arrays instead (see ``NetworkSystem``).  Enumeration routines are
+exponential and guarded by an explicit node-count cap.
 """
 
 from __future__ import annotations
@@ -104,7 +106,10 @@ def incidence(g: Graph) -> np.ndarray:
 
     Column k has +1 at the tail of edge k and -1 at its head; all other
     entries are zero.  Columns therefore sum to zero, and for a connected
-    graph the matrix has rank node_count - 1.
+    graph the matrix has rank node_count - 1.  It takes O(node_count *
+    edge_count) memory, so it serves small dense computations (effective
+    resistance, the signed-Laplacian eigenvalue) and tests; products with it
+    are computed from edge endpoints in ``NetworkSystem``.
     """
     mat = np.zeros((g.node_count, g.edge_count))
     for e in g.edges:

@@ -4,6 +4,11 @@ The coupling is diffusive: tension zeta = E^T y is fed through the static
 edge functions to give the flow mu, and the node inputs are u = -E mu.  The
 power identity u^T y = -mu^T zeta holds by construction and the composed
 field is independent of the chosen edge orientations.
+
+E has exactly two nonzeros per column, so it is never formed: the system
+keeps the 0-based tail and head of every edge, the tension is the gather
+y[tail] - y[head] and the node input is a scatter-add of the flows, both
+O(node_count + edge_count).
 """
 
 from __future__ import annotations
@@ -14,7 +19,7 @@ import numpy as np
 
 from . import edgefn as ef
 from .errors import DimensionMismatch, ValidationError
-from .graph import Graph, incidence, is_connected
+from .graph import Graph, is_connected
 from .nodes import Identity, NodeDynamics
 
 
@@ -74,6 +79,55 @@ class _FlowEvaluator:
         return mu
 
 
+class ReducedLaplacian:
+    """Scatter plan for the weighted Laplacian E diag(d) E^T with the rows
+    and columns of two grounded nodes p and q removed.
+
+    Every edge adds d_k to the diagonal entry of each free endpoint and -d_k
+    to the two off-diagonal entries when both endpoints are free, so the
+    block is one ``np.bincount`` over flat indices fixed at construction.
+    ``free`` holds the 0-based free nodes in order; ``pinned`` holds, for
+    each edge joining a free node to p, that node's position in ``free``.
+    """
+
+    def __init__(self, tail: np.ndarray, head: np.ndarray, n: int, p: int, q: int):
+        free = np.array([i for i in range(n) if i not in (p - 1, q - 1)], dtype=np.intp)
+        pos = np.full(n, -1, dtype=np.intp)
+        pos[free] = np.arange(free.size)
+        pt, ph = pos[tail], pos[head]
+        size = free.size
+        t_free, h_free = pt >= 0, ph >= 0
+        both = t_free & h_free
+        self.free = free
+        self.size = size
+        self.flat = np.concatenate([
+            pt[t_free] * (size + 1),
+            ph[h_free] * (size + 1),
+            pt[both] * size + ph[both],
+            ph[both] * size + pt[both],
+        ])
+        self.edge = np.concatenate([
+            np.flatnonzero(t_free),
+            np.flatnonzero(h_free),
+            np.flatnonzero(both),
+            np.flatnonzero(both),
+        ])
+        self.sign = np.concatenate([
+            np.ones(int(t_free.sum()) + int(h_free.sum())),
+            -np.ones(2 * int(both.sum())),
+        ])
+        self.pinned = np.concatenate([
+            pt[(head == p - 1) & t_free],
+            ph[(tail == p - 1) & h_free],
+        ])
+
+    def matrix(self, d: np.ndarray) -> np.ndarray:
+        """(E_free * d) @ E_free.T without forming E."""
+        return np.bincount(
+            self.flat, d[self.edge] * self.sign, self.size * self.size
+        ).reshape(self.size, self.size)
+
+
 class NetworkSystem:
     """The triple (graph, node dynamics, edge functions).
 
@@ -106,8 +160,12 @@ class NetworkSystem:
         self.graph = graph
         self.node_dynamics = tuple(node_dynamics)
         self.edge_functions = tuple(edge_functions)
-        self.E = incidence(graph)
-        self.ET = self.E.T.copy()
+        # 0-based endpoints of every edge, in id order: the sparse form of E.
+        self.tail = np.array([e.tail - 1 for e in graph.edges], dtype=np.intp)
+        self.head = np.array([e.head - 1 for e in graph.edges], dtype=np.intp)
+        self.tail.flags.writeable = False
+        self.head.flags.writeable = False
+        self._reduced: dict[tuple[int, int], ReducedLaplacian] = {}
         self._flow = _FlowEvaluator(self.edge_functions)
         self.all_identity = all(isinstance(d, Identity) for d in self.node_dynamics)
 
@@ -120,13 +178,13 @@ class NetworkSystem:
         return self.graph.edge_count
 
     def tension(self, y: np.ndarray) -> np.ndarray:
-        """zeta = E^T y: relative outputs along oriented edges."""
+        """zeta = E^T y = y[tail] - y[head]: relative outputs along edges."""
         y = np.asarray(y, dtype=float)
         if y.shape != (self.node_count,):
             raise DimensionMismatch(
                 f"potential vector has shape {y.shape}, expected ({self.node_count},)"
             )
-        return self.ET @ y
+        return y[self.tail] - y[self.head]
 
     def flow(self, zeta: np.ndarray) -> np.ndarray:
         """mu_k = psi_k(zeta_k), componentwise."""
@@ -138,13 +196,15 @@ class NetworkSystem:
         return self._flow(zeta)
 
     def input(self, mu: np.ndarray) -> np.ndarray:
-        """u = -E mu: net flow into each node."""
+        """u = -E mu: net flow into each node (in at heads, out at tails)."""
         mu = np.asarray(mu, dtype=float)
         if mu.shape != (self.edge_count,):
             raise DimensionMismatch(
                 f"flow vector has shape {mu.shape}, expected ({self.edge_count},)"
             )
-        return -(self.E @ mu)
+        return np.bincount(self.head, mu, self.node_count) - np.bincount(
+            self.tail, mu, self.node_count
+        )
 
     def node_input(self, x: np.ndarray) -> np.ndarray:
         """u as a function of the state, u = -E Psi(E^T x)."""
@@ -158,6 +218,18 @@ class NetworkSystem:
         return np.array(
             [d.gamma(float(v)) for d, v in zip(self.node_dynamics, u)]
         )
+
+    def reduced_laplacian(self, p: int, q: int) -> ReducedLaplacian:
+        """Scatter plan of the Laplacian with nodes p and q grounded.
+
+        Built on first use and kept, so a sweep over one terminal pair
+        builds it once; rebuilding it is idempotent.
+        """
+        plan = self._reduced.get((p, q))
+        if plan is None:
+            plan = ReducedLaplacian(self.tail, self.head, self.node_count, p, q)
+            self._reduced[(p, q)] = plan
+        return plan
 
     def linear_weights(self) -> Optional[np.ndarray]:
         """Per-edge scalar weights when every edge function is linear."""

@@ -29,7 +29,11 @@ from .network import NetworkSystem
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Integration and classification parameters."""
+    """Integration and classification parameters.
+
+    Every parameter must be finite except ``blowup_threshold``, which may be
+    +inf to switch the blowup guard off (growth then ends in NonFiniteState).
+    """
 
     t_end: float
     dt: float = 1e-3
@@ -40,8 +44,13 @@ class SimConfig:
     cluster_tol: float = 1e-3
 
     def __post_init__(self):
+        for name in ("t_end", "dt", "u_tol", "window", "cluster_tol"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValidationError(f"{name} must be finite")
         if not (self.t_end > 0 and self.dt > 0):
             raise ValidationError("t_end and dt must be positive")
+        if not math.isfinite(self.t_end / self.dt):
+            raise ValidationError("t_end / dt overflows the step count")
         if not (self.dt < self.window):
             raise ValidationError("steadiness window must exceed the step size")
         if self.record_every < 1:
@@ -106,11 +115,12 @@ def simulate(system: NetworkSystem, x0, cfg: SimConfig) -> Trajectory:
     dt = cfg.dt
     n_steps = int(round(cfg.t_end / dt))
     identity_nodes = system.all_identity
-    E, ET, flow = system.E, system.ET, system._flow
+    n, tail, head, flow = system.node_count, system.tail, system.head, system._flow
     dynamics = system.node_dynamics
 
     def rhs(state):
-        u = -(E @ flow(ET @ state))
+        mu = flow(state[tail] - state[head])
+        u = np.bincount(head, mu, n) - np.bincount(tail, mu, n)
         if identity_nodes:
             return u, u
         xdot = np.array([d.gamma(float(v)) for d, v in zip(dynamics, u)])
@@ -162,7 +172,7 @@ def simulate(system: NetworkSystem, x0, cfg: SimConfig) -> Trajectory:
                 times.append(t)
                 states.append(x.copy())
 
-    final_u = -(E @ flow(ET @ states[-1]))
+    final_u = system.node_input(states[-1])
     return Trajectory(
         times=np.array(times),
         states=np.vstack(states),
@@ -289,7 +299,7 @@ def cocontent_profile(system: NetworkSystem, tr: Trajectory) -> np.ndarray:
     """
     out = np.empty(tr.states.shape[0])
     for i, state in enumerate(tr.states):
-        zeta = system.ET @ state
+        zeta = system.tension(state)
         out[i] = sum(
             f.cocontent(float(z)) for f, z in zip(system.edge_functions, zeta)
         )

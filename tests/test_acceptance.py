@@ -29,7 +29,7 @@ from signet.circuit import (
     total_cocontent,
 )
 from signet.edgefn import DeadZone, GridSpec, Linear, Negated, SampledTable
-from signet.graph import Edge, Graph
+from signet.graph import Edge, Graph, incidence
 from signet.network import NetworkSystem
 from signet.nodes import Identity
 from signet.sim import (
@@ -208,7 +208,7 @@ def test_02_linear_threshold_law():
             net = NetworkSystem(
                 g_full, [Identity()] * n, [Linear(float(v)) for v in weights]
             )
-            E = np.asarray(net.E)
+            E = incidence(g_full)
             L = (E * weights) @ E.T
             lam_max = float(np.abs(np.linalg.eigvalsh(L)).max())
             dt = min(1.5 / lam_max, 0.05)

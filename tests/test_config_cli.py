@@ -215,6 +215,31 @@ def test_cli_validation_exit_code(tmp_path):
                    "--out", tmp_path / "o2") == 2
 
 
+def assert_one_line_validation_error(capsys):
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: ValidationError")
+    assert "Traceback" not in err
+
+
+def test_cli_rejects_infinite_t_end(tmp_path, capsys):
+    cfg = tmp_path / "inf.json"
+    cfg.write_text(doc(sim={"t_end": float("inf")}, initial_state=[1.0, -1.0]))
+    assert "Infinity" in cfg.read_text()
+    assert run_cli("simulate", "--config", cfg, "--out", tmp_path / "o") == 2
+    assert_one_line_validation_error(capsys)
+    assert not (tmp_path / "o" / "outcome.txt").exists()
+
+
+def test_cli_rejects_nan_edge_weight(tmp_path, capsys):
+    cfg = tmp_path / "nan.json"
+    cfg.write_text(doc(edges=[{"id": 1, "tail": 1, "head": 2,
+                               "fn": {"kind": "linear", "w": float("nan")}}]))
+    assert "NaN" in cfg.read_text()
+    assert run_cli("classify", "--config", cfg, "--out", tmp_path / "o") == 2
+    assert_one_line_validation_error(capsys)
+    assert not (tmp_path / "o" / "classification.csv").exists()
+
+
 def test_cli_solver_failure_exit_code(tmp_path):
     # unbounded growth with the blowup guard parked at infinity overflows
     cfg = tmp_path / "grow.json"

@@ -2,10 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from signet.edgefn import DeadZone, Linear, PowerSign, SampledTable, flip_conjugate
 from signet.errors import DimensionMismatch, ValidationError
-from signet.graph import Edge, Graph
+from signet.graph import Edge, Graph, incidence
 from signet.network import NetworkSystem
 from signet.nodes import Identity, SignPower
 
@@ -151,3 +153,47 @@ def test_construction_validation():
 def test_linear_weights_detection(series_network, six_agreement_network):
     np.testing.assert_allclose(series_network.linear_weights(), [0.5, 1.0])
     assert six_agreement_network.linear_weights() is None
+
+
+@st.composite
+def graphs_with_parallel_edges(draw):
+    """Connected graphs: a random spanning tree, some of its edges doubled,
+    extra chords (which may repeat), every edge randomly oriented."""
+    n = draw(st.integers(2, 9))
+    tree = [(draw(st.integers(1, v - 1)), v) for v in range(2, n + 1)]
+    doubled = draw(st.lists(st.sampled_from(tree), max_size=3))
+    chords = draw(st.lists(
+        st.tuples(st.integers(1, n), st.integers(1, n)).filter(lambda t: t[0] != t[1]),
+        max_size=2 * n,
+    ))
+    pairs = tree + doubled + chords
+    flips = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    edges = tuple(
+        Edge(k + 1, b, a) if flip else Edge(k + 1, a, b)
+        for k, ((a, b), flip) in enumerate(zip(pairs, flips))
+    )
+    return Graph(n, edges)
+
+
+@given(g=graphs_with_parallel_edges(), data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_edge_index_arithmetic_matches_dense_incidence(g, data):
+    n, m = g.node_count, g.edge_count
+    E = incidence(g)
+    net = NetworkSystem(g, [Identity()] * n, [Linear(1.0)] * m)
+    values = st.floats(-1e3, 1e3, allow_nan=False)
+    y = np.array(data.draw(st.lists(values, min_size=n, max_size=n)))
+    mu = np.array(data.draw(st.lists(values, min_size=m, max_size=m)))
+    d = np.array(data.draw(st.lists(st.floats(0.0, 1e3), min_size=m, max_size=m)))
+    p, q = data.draw(st.lists(st.integers(1, n), min_size=2, max_size=2, unique=True))
+
+    assert np.array_equal(net.tension(y), E.T @ y)
+    # Relative to the magnitude of what is summed: summation order differs.
+    np.testing.assert_allclose(
+        net.input(mu), -(E @ mu), rtol=1e-12, atol=1e-12 * np.abs(mu).sum()
+    )
+    block = net.reduced_laplacian(p, q)
+    E_free = E[block.free]
+    np.testing.assert_allclose(
+        block.matrix(d), (E_free * d) @ E_free.T, rtol=1e-12, atol=1e-12 * d.sum()
+    )

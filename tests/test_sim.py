@@ -68,6 +68,17 @@ def test_blowup_detection():
     assert out.kind is OutcomeKind.DIVERGENCE
 
 
+def test_sim_config_rejects_non_finite_parameters():
+    for bad in ({"t_end": float("inf")}, {"t_end": 1.0, "dt": float("nan")},
+                {"t_end": 1.0, "window": float("inf")},
+                {"t_end": 1.0, "u_tol": float("nan")},
+                {"t_end": 1e300, "dt": 1e-10}):
+        with pytest.raises(ValidationError):
+            SimConfig(**{"t_end": 1.0, **bad})
+    # +inf switches the blowup guard off and stays allowed
+    assert SimConfig(t_end=1.0, blowup_threshold=float("inf")).blowup_threshold > 0
+
+
 def test_non_finite_state_raises():
     net = linear_pair(w=-1.0)
     cfg = SimConfig(
