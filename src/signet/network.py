@@ -81,7 +81,7 @@ class _FlowEvaluator:
 
 class ReducedLaplacian:
     """Scatter plan for the weighted Laplacian E diag(d) E^T with the rows
-    and columns of two grounded nodes p and q removed.
+    and columns of the two terminal nodes p and q removed.
 
     Every edge adds d_k to the diagonal entry of each free endpoint and -d_k
     to the two off-diagonal entries when both endpoints are free, so the
@@ -220,7 +220,7 @@ class NetworkSystem:
         )
 
     def reduced_laplacian(self, p: int, q: int) -> ReducedLaplacian:
-        """Scatter plan of the Laplacian with nodes p and q grounded.
+        """Scatter plan of the Laplacian without terminals p and q (1-based).
 
         Built on first use and kept, so a sweep over one terminal pair
         builds it once; rebuilding it is idempotent.
