@@ -45,7 +45,6 @@ from .edgefn import (
     Sinusoid,
     Sum,
     classify_sign,
-    cocontent,
     equilibria,
     is_monotone_increasing,
 )
@@ -79,7 +78,7 @@ from .graph import (
     is_connected,
 )
 from .network import NetworkSystem
-from .nodes import Identity, NodeDynamics, Saturating, SignPower, drift, sector_check, storage
+from .nodes import Identity, NodeDynamics, Saturating, SignPower, sector_check, storage
 from .sim import (
     Cluster,
     Outcome,

@@ -36,6 +36,7 @@ from .errors import (
     CapExceeded,
     Inapplicable,
     NonLinearEdges,
+    NotAnInterval,
     ValidationError,
 )
 from .graph import (
@@ -128,8 +129,7 @@ def equivalent_passivity_condition(
             positive_part, p, q, half_width, samples, check_preconditions=False
         )
     zetas = table.zetas
-    hat_vals = np.array([psi_hat(float(z)) for z in zetas])
-    margin = (hat_vals + table.mus) * zetas
+    margin = (psi_hat(zetas) + table.mus) * zetas
     # Scale-aware tolerance: solver residue in the sampled flows enters the
     # margin multiplied by zeta, so exact-zero margins (boundary cases) show
     # up as noise of order 1e-12 * zeta**2.
@@ -413,7 +413,7 @@ def equilibria_membership(
     for f, z in zip(system.edge_functions, zeta):
         try:
             interval = f.equilibria()
-        except Exception:
+        except NotAnInterval:
             out.append(None)
             continue
         out.append(interval.contains(float(z), tol=tol))

@@ -16,7 +16,6 @@ unavailable (dead-zone flats) or unbounded (power laws at zero tension).
 
 from __future__ import annotations
 
-import csv
 import warnings
 from dataclasses import dataclass
 from typing import Optional, TextIO
@@ -77,9 +76,7 @@ def total_cocontent(system: NetworkSystem, zeta: np.ndarray) -> float:
         raise DimensionMismatch(
             f"tension vector has shape {zeta.shape}, expected ({system.edge_count},)"
         )
-    return float(
-        sum(f.cocontent(float(z)) for f, z in zip(system.edge_functions, zeta))
-    )
+    return float(system.cocontent(zeta).sum())
 
 
 def check_equivalent_edge_preconditions(
@@ -127,6 +124,9 @@ def _harmonic_start(
     return y
 
 
+# Power-law slopes are infinite at zero tension and chord slopes divide by
+# the tension; both are caught by explicit finiteness checks in the solve.
+@np.errstate(divide="ignore", invalid="ignore")
 def solve_operating_point(
     system: NetworkSystem,
     p: int,
@@ -154,7 +154,6 @@ def solve_operating_point(
     if check_preconditions:
         check_equivalent_edge_preconditions(system)
 
-    fns = system.edge_functions
     block = system.reduced_laplacian(p, q)
     free = block.free
     if warm_start is None:
@@ -165,6 +164,7 @@ def solve_operating_point(
         y[q - 1] = 0.0
 
     n, tail, head = system.node_count, system.tail, system.head
+    flow, cocontent, derivative = system._flow, system._cocontent, system._slope
 
     def evaluate(yv: np.ndarray):
         """Objective, net outflow E mu per node, tension and flow at yv.
@@ -172,8 +172,8 @@ def solve_operating_point(
         The outflow at the free nodes is the objective's gradient.
         """
         zeta = yv[tail] - yv[head]
-        mu = system._flow(zeta)
-        F = sum(f.cocontent(float(z)) for f, z in zip(fns, zeta))
+        mu = flow(zeta)
+        F = float(cocontent(zeta).sum())
         return F, np.bincount(tail, mu, n) - np.bincount(head, mu, n), zeta, mu
 
     def clamped_slopes(zeta: np.ndarray, mu: np.ndarray) -> np.ndarray:
@@ -184,10 +184,9 @@ def solve_operating_point(
         majorizes the curvature toward the origin, which stops Newton from
         zigzagging across the kink; for linear edges the two coincide.
         """
-        d = np.array([f.derivative(float(z)) for f, z in zip(fns, zeta)])
+        d = derivative(zeta)
         d = np.where(np.isfinite(d), d, _DERIV_CLAMP)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            chord = np.where(np.abs(zeta) > 1e-300, mu / zeta, d)
+        chord = np.where(np.abs(zeta) > 1e-300, mu / zeta, d)
         chord = np.where(np.isfinite(chord), chord, d)
         return np.minimum(np.maximum(d, chord), _DERIV_CLAMP)
 
@@ -325,10 +324,7 @@ class EquivalentEdgeTable:
         return self._fn
 
     def save_csv(self, fh: TextIO) -> None:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["zeta", "mu"])
-        for z, m in zip(self.zetas, self.mus):
-            writer.writerow([format(float(z), ".17g"), format(float(m), ".17g")])
+        self._fn.save_csv(fh)
 
 
 def equivalent_edge_function(

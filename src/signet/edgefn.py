@@ -1,9 +1,12 @@
 """Static nonlinear edge functions and their passivity-based sign classes.
 
-An edge function is a scalar map mu = psi(zeta) with psi(0) = 0.  Besides
-evaluation, every kind exposes its cocontent (the integral of psi from 0 to
-zeta), its derivative where defined, and its set of equilibria (the zeros of
-psi around the origin).  Sign classification follows the passive/active
+An edge function is a map mu = psi(zeta) of the tension across one edge,
+with psi(0) = 0.  Besides evaluation, every kind exposes its cocontent (the
+integral of psi from 0 to zeta), its derivative where defined, and its set
+of equilibria (the zeros of psi around the origin).  Each of the first three
+is written once, as a numpy expression that applies elementwise to a float
+or an array of tensions, so grids, trajectories and whole networks are
+evaluated in one call.  Sign classification follows the passive/active
 dichotomy: an edge is positive when zeta * psi(zeta) >= 0 everywhere on a
 verification grid, strictly positive when zeta * psi(zeta) >= eps * zeta**2
 for some eps > 0, and mirrored for negative.  Classification is grid-based,
@@ -17,8 +20,8 @@ import csv
 import enum
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass, field, fields
+from typing import Optional, Union
 
 import numpy as np
 
@@ -29,6 +32,9 @@ from .errors import InvalidGrid, NotAnInterval, ValidationError
 _ORIGIN_TOL = 1e-9
 # |values| at or below this count as zero in grid scans.
 _ZERO_TOL = 1e-12
+
+# A tension argument: a float or an array of them.
+Tension = Union[float, np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -122,26 +128,44 @@ class MonotonicityReport:
     grid: GridSpec
 
 
-class EdgeFunction:
-    """Base class for static edge functions.  Instances are immutable."""
+def check_finite_parameters(obj) -> None:
+    """Raise ValidationError when a float field of a dataclass is NaN or inf."""
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ValidationError(
+                f"{type(obj).__name__}.{f.name} must be finite, got {value!r}"
+            )
 
-    def __call__(self, zeta: float) -> float:
+
+class EdgeFunction:
+    """Base class for static edge functions.  Instances are immutable.
+
+    ``__call__``, ``cocontent`` and ``derivative`` take a float or an array
+    of tensions and work elementwise.  A network evaluates all edges of one
+    dataclass kind whose fields are declared ``float`` with one call on an
+    instance whose fields are arrays over those edges, built without
+    ``__post_init__``; such kinds must broadcast their parameters against
+    the tensions.
+    """
+
+    def __post_init__(self):
+        check_finite_parameters(self)
+
+    def __call__(self, zeta: Tension) -> Tension:
         raise NotImplementedError
 
-    def cocontent(self, zeta: float) -> float:
+    def cocontent(self, zeta: Tension) -> Tension:
         """Integral of the function from 0 to zeta (always 0 at zeta = 0)."""
         raise NotImplementedError
 
-    def derivative(self, zeta: float) -> float:
-        """Slope at zeta; may be +inf at isolated points (power laws at 0)."""
+    def derivative(self, zeta: Tension) -> Tension:
+        """Slope at zeta; infinite at isolated points (power laws at 0)."""
         raise NotImplementedError
 
     def equilibria(self) -> EquilibriaInterval:
         """Zero interval around the origin; NotAnInterval if there is none."""
         return _equilibria_by_scan(self)
-
-    def batch(self, zeta: np.ndarray) -> np.ndarray:
-        return np.array([self(float(z)) for z in zeta])
 
 
 @dataclass(frozen=True)
@@ -150,22 +174,19 @@ class Linear(EdgeFunction):
 
     w: float
 
-    def __call__(self, zeta: float) -> float:
+    def __call__(self, zeta: Tension) -> Tension:
         return self.w * zeta
 
-    def cocontent(self, zeta: float) -> float:
+    def cocontent(self, zeta: Tension) -> Tension:
         return 0.5 * self.w * zeta * zeta
 
-    def derivative(self, zeta: float) -> float:
-        return self.w
+    def derivative(self, zeta: Tension) -> Tension:
+        return self.w * np.ones_like(zeta)
 
     def equilibria(self) -> EquilibriaInterval:
         if self.w == 0.0:
             return EquilibriaInterval(-math.inf, math.inf)
         return EquilibriaInterval(0.0, 0.0)
-
-    def batch(self, zeta: np.ndarray) -> np.ndarray:
-        return self.w * zeta
 
 
 @dataclass(frozen=True)
@@ -180,29 +201,24 @@ class DeadZone(EdgeFunction):
     band: float = 1.0
 
     def __post_init__(self):
+        super().__post_init__()
         if not (self.band > 0):
             raise ValidationError(f"dead zone band must be > 0, got {self.band}")
 
-    def __call__(self, zeta: float) -> float:
-        excess = abs(zeta) - self.band
-        if excess <= 0.0:
-            return 0.0
-        return math.copysign(self.w * excess, zeta)
+    def __call__(self, zeta: Tension) -> Tension:
+        return np.copysign(np.maximum(np.abs(zeta) - self.band, 0.0), zeta) * self.w
 
-    def cocontent(self, zeta: float) -> float:
-        excess = max(abs(zeta) - self.band, 0.0)
+    def cocontent(self, zeta: Tension) -> Tension:
+        excess = np.maximum(np.abs(zeta) - self.band, 0.0)
         return 0.5 * self.w * excess * excess
 
-    def derivative(self, zeta: float) -> float:
-        return 0.0 if abs(zeta) <= self.band else self.w
+    def derivative(self, zeta: Tension) -> Tension:
+        return self.w * (np.abs(zeta) > self.band)
 
     def equilibria(self) -> EquilibriaInterval:
         if self.w == 0.0:
             return EquilibriaInterval(-math.inf, math.inf)
         return EquilibriaInterval(-self.band, self.band)
-
-    def batch(self, zeta: np.ndarray) -> np.ndarray:
-        return self.w * np.sign(zeta) * np.maximum(np.abs(zeta) - self.band, 0.0)
 
 
 @dataclass(frozen=True)
@@ -210,38 +226,34 @@ class PowerSign(EdgeFunction):
     """mu = w * sign(zeta) * |zeta| ** alpha with 0 < alpha < 1.
 
     Strictly monotone with unbounded range for w > 0; drives integrator
-    networks to agreement in finite time.  Not Lipschitz at the origin.
+    networks to agreement in finite time.  Not Lipschitz at the origin, where
+    the derivative is infinite (NaN when w = 0) and numpy warns of a division
+    by zero unless the caller silences it.
     """
 
     w: float
     alpha: float
 
     def __post_init__(self):
+        super().__post_init__()
         if not (0.0 < self.alpha < 1.0):
             raise ValidationError(
                 f"power exponent must lie in (0, 1), got {self.alpha}"
             )
 
-    def __call__(self, zeta: float) -> float:
-        if zeta == 0.0:
-            return 0.0
-        return math.copysign(self.w * abs(zeta) ** self.alpha, zeta)
+    def __call__(self, zeta: Tension) -> Tension:
+        return np.copysign(np.abs(zeta) ** self.alpha, zeta) * self.w
 
-    def cocontent(self, zeta: float) -> float:
-        return self.w * abs(zeta) ** (1.0 + self.alpha) / (1.0 + self.alpha)
+    def cocontent(self, zeta: Tension) -> Tension:
+        return self.w / (1.0 + self.alpha) * np.abs(zeta) ** (1.0 + self.alpha)
 
-    def derivative(self, zeta: float) -> float:
-        if zeta == 0.0:
-            return math.inf if self.w != 0.0 else 0.0
-        return self.w * self.alpha * abs(zeta) ** (self.alpha - 1.0)
+    def derivative(self, zeta: Tension) -> Tension:
+        return self.w * self.alpha * np.abs(zeta) ** (self.alpha - 1.0)
 
     def equilibria(self) -> EquilibriaInterval:
         if self.w == 0.0:
             return EquilibriaInterval(-math.inf, math.inf)
         return EquilibriaInterval(0.0, 0.0)
-
-    def batch(self, zeta: np.ndarray) -> np.ndarray:
-        return self.w * np.sign(zeta) * np.abs(zeta) ** self.alpha
 
 
 @dataclass(frozen=True)
@@ -250,22 +262,19 @@ class Sinusoid(EdgeFunction):
 
     a: float
 
-    def __call__(self, zeta: float) -> float:
-        return self.a * math.sin(zeta)
+    def __call__(self, zeta: Tension) -> Tension:
+        return self.a * np.sin(zeta)
 
-    def cocontent(self, zeta: float) -> float:
-        return self.a * (1.0 - math.cos(zeta))
+    def cocontent(self, zeta: Tension) -> Tension:
+        return self.a * (1.0 - np.cos(zeta))
 
-    def derivative(self, zeta: float) -> float:
-        return self.a * math.cos(zeta)
+    def derivative(self, zeta: Tension) -> Tension:
+        return self.a * np.cos(zeta)
 
     def equilibria(self) -> EquilibriaInterval:
         if self.a == 0.0:
             return EquilibriaInterval(-math.inf, math.inf)
         raise NotAnInterval("sinusoid zeros are isolated points, not an interval")
-
-    def batch(self, zeta: np.ndarray) -> np.ndarray:
-        return self.a * np.sin(zeta)
 
 
 @dataclass(frozen=True)
@@ -274,20 +283,17 @@ class Negated(EdgeFunction):
 
     inner: EdgeFunction
 
-    def __call__(self, zeta: float) -> float:
+    def __call__(self, zeta: Tension) -> Tension:
         return -self.inner(zeta)
 
-    def cocontent(self, zeta: float) -> float:
+    def cocontent(self, zeta: Tension) -> Tension:
         return -self.inner.cocontent(zeta)
 
-    def derivative(self, zeta: float) -> float:
+    def derivative(self, zeta: Tension) -> Tension:
         return -self.inner.derivative(zeta)
 
     def equilibria(self) -> EquilibriaInterval:
         return self.inner.equilibria()
-
-    def batch(self, zeta: np.ndarray) -> np.ndarray:
-        return -self.inner.batch(zeta)
 
 
 @dataclass(frozen=True)
@@ -302,22 +308,16 @@ class Sum(EdgeFunction):
             raise ValidationError("sum needs at least one term")
         object.__setattr__(self, "terms", terms)
 
-    def __call__(self, zeta: float) -> float:
+    def __call__(self, zeta: Tension) -> Tension:
         return sum(t(zeta) for t in self.terms)
 
-    def cocontent(self, zeta: float) -> float:
+    def cocontent(self, zeta: Tension) -> Tension:
         # Integration is linear, so the sum of the terms' closed forms is
         # exact; no quadrature needed.
         return sum(t.cocontent(zeta) for t in self.terms)
 
-    def derivative(self, zeta: float) -> float:
+    def derivative(self, zeta: Tension) -> Tension:
         return sum(t.derivative(zeta) for t in self.terms)
-
-    def batch(self, zeta: np.ndarray) -> np.ndarray:
-        out = self.terms[0].batch(zeta).astype(float, copy=True)
-        for t in self.terms[1:]:
-            out += t.batch(zeta)
-        return out
 
 
 @dataclass(frozen=True)
@@ -332,8 +332,14 @@ class SampledTable(EdgeFunction):
 
     zetas: tuple[float, ...]
     mus: tuple[float, ...]
-    # Prefix integrals over the knots, filled in at construction.
-    _prefix: tuple[float, ...] = field(default=(), repr=False, compare=False)
+    # Filled in at construction: the knots after the first, whose
+    # right-sided search sorts a tension to the knot starting its segment
+    # (knot 0 below the range, the last knot beyond it); four arrays with
+    # one entry per knot: the knot, its value, the slope to its right (the
+    # last slope repeated past the end) and the integral from the first
+    # knot; and that integral at zeta = 0.
+    _breaks: np.ndarray = field(default=None, repr=False, compare=False)
+    _knots: tuple = field(default=(), repr=False, compare=False)
     _zero_cocontent: float = field(default=0.0, repr=False, compare=False)
 
     def __post_init__(self):
@@ -343,54 +349,51 @@ class SampledTable(EdgeFunction):
             raise ValidationError("table zeta and mu columns differ in length")
         if len(z) < 2:
             raise ValidationError("table needs at least two sample points")
+        if not all(math.isfinite(v) for v in z + m):
+            raise ValidationError("table zeta and mu values must be finite")
         if any(b <= a for a, b in zip(z, z[1:])):
             raise ValidationError("table zeta values must be strictly increasing")
         if not (z[0] <= 0.0 <= z[-1]):
             raise ValidationError("table must bracket zeta = 0")
         object.__setattr__(self, "zetas", z)
         object.__setattr__(self, "mus", m)
-        prefix = [0.0]
-        for (za, ma), (zb, mb) in zip(zip(z, m), zip(z[1:], m[1:])):
-            prefix.append(prefix[-1] + 0.5 * (ma + mb) * (zb - za))
-        object.__setattr__(self, "_prefix", tuple(prefix))
-        object.__setattr__(self, "_zero_cocontent", self._integral_from_start(0.0))
+        za, ma = np.array(z), np.array(m)
+        slope = np.diff(ma) / np.diff(za)
+        prefix = np.cumsum(0.5 * (ma[:-1] + ma[1:]) * np.diff(za))
+        knots = (za, ma, np.append(slope, slope[-1]), np.insert(prefix, 0, 0.0))
+        for a in knots:
+            a.flags.writeable = False
+        object.__setattr__(self, "_breaks", za[1:])
+        object.__setattr__(self, "_knots", knots)
+        object.__setattr__(self, "_zero_cocontent", float(self._integral(0.0)))
         if abs(self(0.0)) > _ZERO_TOL:
             raise ValidationError(
                 f"edge function must vanish at 0, table gives {self(0.0)!r}"
             )
 
-    def _segment(self, zeta: float) -> int:
-        """Index i of the segment [zetas[i], zetas[i+1]] covering zeta."""
-        i = bisect_right(self.zetas, zeta) - 1
-        return min(max(i, 0), len(self.zetas) - 2)
+    def __call__(self, zeta: Tension) -> Tension:
+        z, m, s, _ = self._knots
+        i = self._breaks.searchsorted(zeta, side="right")
+        return m[i] + s[i] * (zeta - z[i])
 
-    def __call__(self, zeta: float) -> float:
-        i = self._segment(zeta)
-        za, zb = self.zetas[i], self.zetas[i + 1]
-        ma, mb = self.mus[i], self.mus[i + 1]
-        slope = (mb - ma) / (zb - za)
-        return ma + slope * (zeta - za)
+    def _integral(self, zeta: Tension) -> Tension:
+        """Integral of the interpolant from the first knot to zeta."""
+        z, m, s, prefix = self._knots
+        i = self._breaks.searchsorted(zeta, side="right")
+        d = zeta - z[i]
+        return prefix[i] + m[i] * d + 0.5 * s[i] * d * d
 
-    def _integral_from_start(self, zeta: float) -> float:
-        i = self._segment(zeta)
-        za, zb = self.zetas[i], self.zetas[i + 1]
-        ma, mb = self.mus[i], self.mus[i + 1]
-        slope = (mb - ma) / (zb - za)
-        d = zeta - za
-        return self._prefix[i] + ma * d + 0.5 * slope * d * d
+    def cocontent(self, zeta: Tension) -> Tension:
+        return self._integral(zeta) - self._zero_cocontent
 
-    def cocontent(self, zeta: float) -> float:
-        return self._integral_from_start(zeta) - self._zero_cocontent
-
-    def derivative(self, zeta: float) -> float:
-        i = self._segment(zeta)
-        za, zb = self.zetas[i], self.zetas[i + 1]
-        return (self.mus[i + 1] - self.mus[i]) / (zb - za)
+    def derivative(self, zeta: Tension) -> Tension:
+        return self._knots[2][self._breaks.searchsorted(zeta, side="right")]
 
     def equilibria(self) -> EquilibriaInterval:
         vals = self.mus
         zero = [abs(v) <= _ZERO_TOL for v in vals]
-        i0 = self._segment(0.0)
+        # Segment [zetas[i0], zetas[i0 + 1]] covering the origin.
+        i0 = min(bisect_right(self.zetas, 0.0), len(vals) - 1) - 1
         # Grow the zero run outward from the segment containing the origin.
         if not (zero[i0] or zero[i0 + 1]):
             return EquilibriaInterval(0.0, 0.0)
@@ -409,26 +412,18 @@ class SampledTable(EdgeFunction):
                 raise NotAnInterval("table crosses zero away from the origin run")
         return EquilibriaInterval(self.zetas[lo], self.zetas[hi])
 
-    def batch(self, zeta: np.ndarray) -> np.ndarray:
-        z = np.asarray(self.zetas)
-        m = np.asarray(self.mus)
-        out = np.interp(zeta, z, m)
-        lo_slope = (m[1] - m[0]) / (z[1] - z[0])
-        hi_slope = (m[-1] - m[-2]) / (z[-1] - z[-2])
-        below = zeta < z[0]
-        above = zeta > z[-1]
-        if np.any(below):
-            out = np.where(below, m[0] + lo_slope * (zeta - z[0]), out)
-        if np.any(above):
-            out = np.where(above, m[-1] + hi_slope * (zeta - z[-1]), out)
-        return out
+    def save_csv(self, dest) -> None:
+        """Write the knots as ``zeta,mu`` CSV rows with 17 significant digits.
 
-    def save_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["zeta", "mu"])
-            for z, m in zip(self.zetas, self.mus):
-                writer.writerow([format(z, ".17g"), format(m, ".17g")])
+        ``dest`` is a path or an open text file.
+        """
+        if not hasattr(dest, "write"):
+            with open(dest, "w", newline="") as fh:
+                return self.save_csv(fh)
+        writer = csv.writer(dest, lineterminator="\n")
+        writer.writerow(["zeta", "mu"])
+        for z, m in zip(self.zetas, self.mus):
+            writer.writerow([format(z, ".17g"), format(m, ".17g")])
 
     @classmethod
     def load_csv(cls, path) -> "SampledTable":
@@ -451,16 +446,6 @@ def _check_vanishes_at_origin(f: EdgeFunction) -> None:
         raise ValidationError(f"edge function must vanish at 0, got {f(0.0)!r}")
 
 
-def eval_fn(f: EdgeFunction, zeta: float) -> float:
-    """Function-call form of evaluation, mu = psi(zeta)."""
-    return f(zeta)
-
-
-def cocontent(f: EdgeFunction, zeta: float) -> float:
-    """Function-call form of the cocontent integral."""
-    return f.cocontent(zeta)
-
-
 def classify_sign(f: EdgeFunction, grid: GridSpec) -> SignClass:
     """Grid-based passivity classification of an edge function.
 
@@ -472,7 +457,7 @@ def classify_sign(f: EdgeFunction, grid: GridSpec) -> SignClass:
     grid.validate(min_samples=101)
     _check_vanishes_at_origin(f)
     z = grid.points()
-    vals = f.batch(z)
+    vals = f(z)
     p = z * vals
     # Rounding guard: products within 1e-12 of zero (relative to zeta**2)
     # count as zero, so exact dead zones classify cleanly.
@@ -525,7 +510,7 @@ def _equilibria_by_scan(
     f: EdgeFunction, half_width: float = 100.0, samples: int = 8001
 ) -> EquilibriaInterval:
     z = np.linspace(-half_width, half_width, samples)
-    vals = f.batch(z)
+    vals = f(z)
     zero = np.abs(vals) <= _ZERO_TOL
     if np.all(zero):
         return EquilibriaInterval(-math.inf, math.inf)
@@ -563,7 +548,7 @@ def is_monotone_increasing(f: EdgeFunction, grid: GridSpec) -> MonotonicityRepor
     """Grid check that psi is nondecreasing, plus an unboundedness heuristic."""
     grid.validate(min_samples=101)
     z = grid.points()
-    vals = f.batch(z)
+    vals = f(z)
     diffs = np.diff(vals)
     steps = np.diff(z)
     tol = 1e-12 * (1.0 + np.abs(vals[:-1]) + np.abs(vals[1:]))

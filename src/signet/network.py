@@ -9,74 +9,111 @@ E has exactly two nonzeros per column, so it is never formed: the system
 keeps the 0-based tail and head of every edge, the tension is the gather
 y[tail] - y[head] and the node input is a scatter-add of the flows, both
 O(node_count + edge_count).
+
+Edge functions and node dynamics are grouped by kind once, at construction:
+the members of a group are stacked into one object of that kind whose
+float parameters are arrays, so flow, cocontent, slope and the node drifts
+each cost one numpy call per group on arrays of shape (..., m) or (..., n).
+A single group covering every edge is called directly, without a gather
+and scatter.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+import dataclasses
+import functools
+from typing import Callable, Hashable, Optional, Sequence, Union
 
 import numpy as np
 
 from . import edgefn as ef
 from .errors import DimensionMismatch, ValidationError
 from .graph import Graph, is_connected
-from .nodes import Identity, NodeDynamics
+from .nodes import NodeDynamics
 
 
-class _FlowEvaluator:
-    """Vectorized flow evaluation, grouping edges by function kind.
+@functools.cache
+def _float_fields(kind: type) -> Optional[tuple[str, ...]]:
+    """Field names of a dataclass kind whose fields are all declared float,
+    else None.  Objects of such a kind stack into one with array fields."""
+    if not dataclasses.is_dataclass(kind):
+        return None
+    fields = dataclasses.fields(kind)
+    if all(f.type in ("float", float) for f in fields):
+        return tuple(f.name for f in fields)
+    return None
 
-    Built once per network; the hot path of the simulator calls this every
-    integrator stage, so linear / power / dead-zone groups are evaluated with
-    single numpy expressions and only exotic kinds fall back to scalar calls.
+
+def _kind_key(obj) -> Hashable:
+    """Objects with equal keys stack into one group.
+
+    The key is the kind, nested through Negated and Sum.  Kinds with other
+    than float parameters (sampled tables) group only with themselves.
     """
+    kind = type(obj)
+    if kind is ef.Negated:
+        return (kind, _kind_key(obj.inner))
+    if kind is ef.Sum:
+        return (kind,) + tuple(_kind_key(t) for t in obj.terms)
+    return kind if _float_fields(kind) is not None else id(obj)
 
-    def __init__(self, fns: Sequence[ef.EdgeFunction]):
-        self.count = len(fns)
-        idx_lin, w_lin = [], []
-        idx_pow, w_pow, a_pow = [], [], []
-        idx_dz, w_dz, b_dz = [], [], []
-        fallback = []
-        for i, f in enumerate(fns):
-            w = ef.linear_coefficient(f)
-            if w is not None:
-                idx_lin.append(i)
-                w_lin.append(w)
-            elif isinstance(f, ef.PowerSign):
-                idx_pow.append(i)
-                w_pow.append(f.w)
-                a_pow.append(f.alpha)
-            elif isinstance(f, ef.DeadZone):
-                idx_dz.append(i)
-                w_dz.append(f.w)
-                b_dz.append(f.band)
-            else:
-                fallback.append((i, f))
-        self.idx_lin = np.array(idx_lin, dtype=int)
-        self.w_lin = np.array(w_lin)
-        self.idx_pow = np.array(idx_pow, dtype=int)
-        self.w_pow = np.array(w_pow)
-        self.a_pow = np.array(a_pow)
-        self.idx_dz = np.array(idx_dz, dtype=int)
-        self.w_dz = np.array(w_dz)
-        self.b_dz = np.array(b_dz)
-        self.fallback = fallback
 
-    def __call__(self, zeta: np.ndarray) -> np.ndarray:
-        mu = np.empty(self.count)
-        if self.idx_lin.size:
-            mu[self.idx_lin] = self.w_lin * zeta[self.idx_lin]
-        if self.idx_pow.size:
-            z = zeta[self.idx_pow]
-            mu[self.idx_pow] = self.w_pow * np.sign(z) * np.abs(z) ** self.a_pow
-        if self.idx_dz.size:
-            z = zeta[self.idx_dz]
-            mu[self.idx_dz] = (
-                self.w_dz * np.sign(z) * np.maximum(np.abs(z) - self.b_dz, 0.0)
-            )
-        for i, f in self.fallback:
-            mu[i] = f(zeta[i])
-        return mu
+def _stack(objs: Sequence) -> object:
+    """One object of the common kind of objs whose float parameters are
+    arrays over objs, so its methods evaluate all of them at once."""
+    first = objs[0]
+    if type(first) is ef.Negated and type(first.inner) is ef.SampledTable:
+        # Negating the knot values is exact and saves a negation per call.
+        return ef.SampledTable(first.inner.zetas, tuple(-m for m in first.inner.mus))
+    if type(first) is ef.Negated:
+        return ef.Negated(_stack([o.inner for o in objs]))
+    if type(first) is ef.Sum:
+        return ef.Sum(tuple(_stack(ts) for ts in zip(*(o.terms for o in objs))))
+    names = _float_fields(type(first))
+    if not names:
+        return first
+    # Every object was validated when it was built; the stack skips
+    # __post_init__, whose scalar checks do not apply to arrays.
+    stacked = object.__new__(type(first))
+    for name in names:
+        values = np.array([getattr(o, name) for o in objs], dtype=float)
+        object.__setattr__(stacked, name, values)
+    return stacked
+
+
+def _group_by_kind(objs: Sequence) -> list[tuple[Union[slice, np.ndarray], object]]:
+    """(positions, stacked object) per kind, positions as a slice when they
+    are contiguous so that gathering them is a view."""
+    positions: dict[Hashable, list[int]] = {}
+    for i, obj in enumerate(objs):
+        positions.setdefault(_kind_key(obj), []).append(i)
+    groups = []
+    for idx in positions.values():
+        at = (
+            slice(idx[0], idx[-1] + 1)
+            if idx[-1] - idx[0] == len(idx) - 1
+            else np.array(idx, dtype=np.intp)
+        )
+        groups.append((at, _stack([objs[i] for i in idx])))
+    return groups
+
+
+def _apply_by_kind(groups, method: str) -> Callable[[np.ndarray], np.ndarray]:
+    """The named method of every grouped object as one function mapping
+    x[..., k] to out[..., k], where k runs over the objects in order."""
+    if len(groups) == 1:
+        return getattr(groups[0][1], method)
+    calls = [(at, getattr(obj, method)) for at, obj in groups]
+
+    def apply(x: np.ndarray) -> np.ndarray:
+        out = np.empty(x.shape)
+        for at, call in calls:
+            # A leading Ellipsis makes an index array gather about 3x slower.
+            at = at if x.ndim == 1 else (..., at)
+            out[at] = call(x[at])
+        return out
+
+    return apply
 
 
 class ReducedLaplacian:
@@ -154,9 +191,6 @@ class NetworkSystem:
             )
         if not is_connected(graph):
             raise ValidationError("network graph must be connected")
-        for i, f in enumerate(edge_functions):
-            if abs(f(0.0)) > 1e-12:
-                raise ValidationError(f"edge function {i + 1} must vanish at 0")
         self.graph = graph
         self.node_dynamics = tuple(node_dynamics)
         self.edge_functions = tuple(edge_functions)
@@ -166,8 +200,14 @@ class NetworkSystem:
         self.tail.flags.writeable = False
         self.head.flags.writeable = False
         self._reduced: dict[tuple[int, int], ReducedLaplacian] = {}
-        self._flow = _FlowEvaluator(self.edge_functions)
-        self.all_identity = all(isinstance(d, Identity) for d in self.node_dynamics)
+        edges = _group_by_kind(self.edge_functions)
+        self._flow = _apply_by_kind(edges, "__call__")
+        self._cocontent = _apply_by_kind(edges, "cocontent")
+        self._slope = _apply_by_kind(edges, "derivative")
+        self._gamma = _apply_by_kind(_group_by_kind(self.node_dynamics), "gamma")
+        at_zero = np.abs(self._flow(np.zeros(graph.edge_count)))
+        for i in np.flatnonzero(at_zero > 1e-12)[:1]:
+            raise ValidationError(f"edge function {i + 1} must vanish at 0")
 
     @property
     def node_count(self) -> int:
@@ -186,14 +226,26 @@ class NetworkSystem:
             )
         return y[self.tail] - y[self.head]
 
-    def flow(self, zeta: np.ndarray) -> np.ndarray:
-        """mu_k = psi_k(zeta_k), componentwise."""
+    def _edge_array(self, zeta) -> np.ndarray:
         zeta = np.asarray(zeta, dtype=float)
-        if zeta.shape != (self.edge_count,):
+        if zeta.shape[-1:] != (self.edge_count,):
             raise DimensionMismatch(
-                f"tension vector has shape {zeta.shape}, expected ({self.edge_count},)"
+                f"tension array has shape {zeta.shape}, "
+                f"expected (..., {self.edge_count})"
             )
-        return self._flow(zeta)
+        return zeta
+
+    def flow(self, zeta: np.ndarray) -> np.ndarray:
+        """mu_k = psi_k(zeta_k) along the last axis of a (..., m) array."""
+        return self._flow(self._edge_array(zeta))
+
+    def cocontent(self, zeta: np.ndarray) -> np.ndarray:
+        """Per-edge cocontent, the integral of psi_k from 0 to zeta_k."""
+        return self._cocontent(self._edge_array(zeta))
+
+    def slope(self, zeta: np.ndarray) -> np.ndarray:
+        """Per-edge derivative psi_k'(zeta_k); infinite at power-law kinks."""
+        return self._slope(self._edge_array(zeta))
 
     def input(self, mu: np.ndarray) -> np.ndarray:
         """u = -E mu: net flow into each node (in at heads, out at tails)."""
@@ -212,12 +264,7 @@ class NetworkSystem:
 
     def vector_field(self, x: np.ndarray) -> np.ndarray:
         """x'_i = gamma_i(u_i) with y = x."""
-        u = self.node_input(x)
-        if self.all_identity:
-            return u
-        return np.array(
-            [d.gamma(float(v)) for d, v in zip(self.node_dynamics, u)]
-        )
+        return self._gamma(self.node_input(x))
 
     def reduced_laplacian(self, p: int, q: int) -> ReducedLaplacian:
         """Scatter plan of the Laplacian without terminals p and q (1-based).
@@ -230,10 +277,3 @@ class NetworkSystem:
             plan = ReducedLaplacian(self.tail, self.head, self.node_count, p, q)
             self._reduced[(p, q)] = plan
         return plan
-
-    def linear_weights(self) -> Optional[np.ndarray]:
-        """Per-edge scalar weights when every edge function is linear."""
-        ws = [ef.linear_coefficient(f) for f in self.edge_functions]
-        if any(w is None for w in ws):
-            return None
-        return np.array(ws, dtype=float)

@@ -2,52 +2,49 @@
 
 Every built-in gamma satisfies the sector condition u * gamma(u) >= 0 with
 equality only at u = 0, which makes the agreement space invariant and the
-steady-state input/output relation {0} x R for every node.  Only this
+steady-state input/output relation {0} x R for every node.  Like the edge
+functions, gamma is one numpy expression that applies elementwise to a
+float or an array of inputs, also with array-valued parameters, so a
+network evaluates every node of one kind in one call.  Only this
 integrator family is implemented; output maps other than y = x are out of
 scope.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, Union
 
 import numpy as np
 
 from .errors import UnsupportedDynamics, ValidationError
-from .edgefn import GridSpec
+from .edgefn import GridSpec, Tension, check_finite_parameters
 
 _SECTOR_EQ_TOL = 1e-12
 
 
 class NodeDynamics:
-    """Base class: scalar drift gamma with gamma(0) = 0."""
+    """Base class: drift gamma with gamma(0) = 0, elementwise on arrays."""
 
-    def gamma(self, u: float) -> float:
+    def __post_init__(self):
+        check_finite_parameters(self)
+
+    def gamma(self, u: Tension) -> Tension:
         raise NotImplementedError
-
-    def batch_gamma(self, u: np.ndarray) -> np.ndarray:
-        return np.array([self.gamma(float(v)) for v in u])
 
     def _assert_sector(self) -> None:
         # Cheap construction-time guard on a coarse grid.
-        for u in np.linspace(-10.0, 10.0, 101):
-            p = u * self.gamma(float(u))
-            if p < 0.0 or (p == 0.0 and abs(u) > _SECTOR_EQ_TOL):
-                raise ValidationError(
-                    f"{type(self).__name__}: u*gamma(u) must be positive off 0"
-                )
+        if not sector_check(self, GridSpec(10.0, 101)):
+            raise ValidationError(
+                f"{type(self).__name__}: u*gamma(u) must be positive off 0"
+            )
 
 
 @dataclass(frozen=True)
 class Identity(NodeDynamics):
     """Single integrator: x' = u."""
 
-    def gamma(self, u: float) -> float:
-        return u
-
-    def batch_gamma(self, u: np.ndarray) -> np.ndarray:
+    def gamma(self, u: Tension) -> Tension:
         return u
 
 
@@ -59,6 +56,7 @@ class SignPower(NodeDynamics):
     beta: float
 
     def __post_init__(self):
+        super().__post_init__()
         if not (self.c > 0):
             raise ValidationError(f"gain c must be > 0, got {self.c}")
         # beta <= 1 keeps gamma locally Lipschitz away from 0.
@@ -66,13 +64,8 @@ class SignPower(NodeDynamics):
             raise ValidationError(f"exponent beta must be in (0, 1], got {self.beta}")
         self._assert_sector()
 
-    def gamma(self, u: float) -> float:
-        if u == 0.0:
-            return 0.0
-        return math.copysign(self.c * abs(u) ** self.beta, u)
-
-    def batch_gamma(self, u: np.ndarray) -> np.ndarray:
-        return self.c * np.sign(u) * np.abs(u) ** self.beta
+    def gamma(self, u: Tension) -> Tension:
+        return np.copysign(np.abs(u) ** self.beta, u) * self.c
 
 
 @dataclass(frozen=True)
@@ -83,39 +76,29 @@ class Saturating(NodeDynamics):
     s: float
 
     def __post_init__(self):
+        super().__post_init__()
         if not (self.c > 0 and self.s > 0):
             raise ValidationError("saturating dynamics need c > 0 and s > 0")
         self._assert_sector()
 
-    def gamma(self, u: float) -> float:
-        return self.c * math.tanh(u / self.s)
-
-    def batch_gamma(self, u: np.ndarray) -> np.ndarray:
+    def gamma(self, u: Tension) -> Tension:
         return self.c * np.tanh(u / self.s)
 
 
-def drift(d: NodeDynamics, u: float) -> float:
-    """x' = gamma(u)."""
-    return d.gamma(u)
-
-
 def sector_check(
-    d: Union[NodeDynamics, Callable[[float], float]], grid: GridSpec
+    d: Union[NodeDynamics, Callable[[np.ndarray], np.ndarray]], grid: GridSpec
 ) -> bool:
     """True iff u * gamma(u) >= 0 on the grid with equality only near 0.
 
-    Accepts either a NodeDynamics instance or a bare callable, so adversarial
-    drifts can be screened without constructing a dynamics object.
+    Accepts either a NodeDynamics instance or a bare callable taking the
+    array of grid points, so adversarial drifts can be screened without
+    constructing a dynamics object.
     """
     grid.validate(min_samples=3)
     fn = d.gamma if isinstance(d, NodeDynamics) else d
-    for u in grid.points():
-        p = float(u) * fn(float(u))
-        if p < 0.0:
-            return False
-        if p == 0.0 and abs(u) > _SECTOR_EQ_TOL:
-            return False
-    return True
+    u = grid.points()
+    p = u * fn(u)
+    return bool(np.all((p > 0.0) | ((p == 0.0) & (np.abs(u) <= _SECTOR_EQ_TOL))))
 
 
 def storage(d: NodeDynamics, x: float, y_star: float) -> float:

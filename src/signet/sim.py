@@ -18,6 +18,7 @@ from typing import Optional, TextIO
 
 import numpy as np
 
+from .analysis import equilibria_membership
 from .errors import (
     DimensionMismatch,
     NonFiniteState,
@@ -114,17 +115,13 @@ def simulate(system: NetworkSystem, x0, cfg: SimConfig) -> Trajectory:
         )
     dt = cfg.dt
     n_steps = int(round(cfg.t_end / dt))
-    identity_nodes = system.all_identity
-    n, tail, head, flow = system.node_count, system.tail, system.head, system._flow
-    dynamics = system.node_dynamics
+    n, tail, head = system.node_count, system.tail, system.head
+    flow, gamma = system._flow, system._gamma
 
     def rhs(state):
         mu = flow(state[tail] - state[head])
         u = np.bincount(head, mu, n) - np.bincount(tail, mu, n)
-        if identity_nodes:
-            return u, u
-        xdot = np.array([d.gamma(float(v)) for d, v in zip(dynamics, u)])
-        return u, xdot
+        return u, gamma(u)
 
     times = [0.0]
     states = [x.copy()]
@@ -136,7 +133,7 @@ def simulate(system: NetworkSystem, x0, cfg: SimConfig) -> Trajectory:
     with np.errstate(over="ignore", invalid="ignore"):
         for step in range(1, n_steps + 1):
             u, k1 = rhs(x)
-            u_norm = float(np.max(np.abs(u)))
+            u_norm = float(np.abs(u).max())
             if not math.isfinite(u_norm):
                 raise NonFiniteState(f"non-finite input at t = {t:.6g}")
             if u_norm < cfg.u_tol:
@@ -152,7 +149,7 @@ def simulate(system: NetworkSystem, x0, cfg: SimConfig) -> Trajectory:
             x = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
             t = step * dt
 
-            biggest = float(np.max(np.abs(x)))
+            biggest = float(np.abs(x).max())
             if not math.isfinite(biggest):
                 raise NonFiniteState(f"non-finite state at t = {t:.6g}")
             record = step % cfg.record_every == 0
@@ -270,15 +267,7 @@ def steady_tension(
     if outcome.kind not in (OutcomeKind.AGREEMENT, OutcomeKind.CLUSTERING):
         raise NotSteady(f"outcome is {outcome.kind.value}")
     zeta = system.tension(tr.final_state)
-    member: list[Optional[bool]] = []
-    for f, z in zip(system.edge_functions, zeta):
-        try:
-            interval = f.equilibria()
-        except Exception:
-            member.append(None)
-            continue
-        member.append(interval.contains(float(z), tol=cfg.cluster_tol))
-    return SteadyTension(zeta, tuple(member))
+    return SteadyTension(zeta, equilibria_membership(system, zeta, cfg.cluster_tol))
 
 
 def quadratic_storage_profile(tr: Trajectory) -> np.ndarray:
@@ -297,13 +286,8 @@ def cocontent_profile(system: NetworkSystem, tr: Trajectory) -> np.ndarray:
     Under the equivalent-passivity convergence conditions this is a Lyapunov
     function for integrator networks.
     """
-    out = np.empty(tr.states.shape[0])
-    for i, state in enumerate(tr.states):
-        zeta = system.tension(state)
-        out[i] = sum(
-            f.cocontent(float(z)) for f, z in zip(system.edge_functions, zeta)
-        )
-    return out
+    zeta = tr.states[:, system.tail] - tr.states[:, system.head]
+    return system.cocontent(zeta).sum(axis=1)
 
 
 def write_trajectory_csv(tr: Trajectory, fh: TextIO) -> None:

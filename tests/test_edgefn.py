@@ -24,6 +24,7 @@ from signet.edgefn import (
     linear_coefficient,
 )
 from signet.errors import InvalidGrid, NotAnInterval, ValidationError
+from signet.nodes import Saturating, SignPower
 
 GRID = GridSpec(10.0, 1001)
 
@@ -54,10 +55,15 @@ def test_every_kind_vanishes_at_origin():
 
 
 def test_batch_matches_scalar():
+    # numpy's vectorized sin/cos/power may differ from its scalar path by
+    # an ulp; a table has no transcendental functions and agrees exactly.
     rng = np.random.default_rng(3)
     z = rng.uniform(-20, 20, size=64)
-    for f in ZOO:
-        np.testing.assert_allclose(f.batch(z), [f(v) for v in z], rtol=0, atol=1e-14)
+    table = SampledTable((-2.0, 0.0, 1.0, 3.0), (-4.0, 0.0, 1.0, 2.0))
+    for f in ZOO + [table, Negated(table)]:
+        for method in ("__call__", "cocontent", "derivative"):
+            scalar = [getattr(f, method)(float(v)) for v in z]
+            np.testing.assert_array_max_ulp(getattr(f, method)(z), scalar, maxulp=2)
 
 
 def test_cocontent_examples():
@@ -187,9 +193,7 @@ def test_sampled_table_interpolation_and_extrapolation():
     # linear extension with the end-segment slopes
     assert t(5.0) == pytest.approx(2.0 + 0.5 * 2.0)
     assert t(-3.0) == pytest.approx(-4.0 - 2.0)
-    np.testing.assert_allclose(
-        t.batch(np.array([-3.0, 2.0, 5.0])), [-6.0, 1.5, 3.0]
-    )
+    np.testing.assert_allclose(t(np.array([-3.0, 2.0, 5.0])), [-6.0, 1.5, 3.0])
 
 
 def test_sampled_table_cocontent_matches_quadrature():
@@ -200,7 +204,7 @@ def test_sampled_table_cocontent_matches_quadrature():
     t = SampledTable(tuple(z), tuple(m))
     for target in rng.uniform(-4.5, 4.5, size=20):
         xs = np.linspace(0.0, target, 40001)
-        ref = np.trapezoid(t.batch(xs), xs)
+        ref = np.trapezoid(t(xs), xs)
         assert t.cocontent(target) == pytest.approx(ref, abs=1e-6)
 
 
@@ -235,6 +239,25 @@ def test_flip_conjugate_matches_reversed_orientation():
         g = flip_conjugate(f)
         for z in np.linspace(-3, 3, 21):
             assert g(z) == pytest.approx(f(z))
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: Linear(math.nan),
+        lambda: DeadZone(math.nan, 1.0),
+        lambda: DeadZone(1.0, math.inf),
+        lambda: PowerSign(math.inf, 0.5),
+        lambda: Sinusoid(math.nan),
+        lambda: SampledTable((-1.0, 0.0, math.nan), (-1.0, 0.0, 1.0)),
+        lambda: SampledTable((-1.0, 0.0, 1.0), (-1.0, 0.0, math.nan)),
+        lambda: Saturating(math.inf, 1.0),
+        lambda: SignPower(math.inf, 0.5),
+    ],
+)
+def test_non_finite_parameters_rejected(build):
+    with pytest.raises(ValidationError):
+        build()
 
 
 def test_power_sign_parameter_validation():

@@ -5,11 +5,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from signet.edgefn import DeadZone, Linear, PowerSign, SampledTable, flip_conjugate
+from signet.edgefn import (
+    DeadZone,
+    Linear,
+    Negated,
+    PowerSign,
+    SampledTable,
+    Sinusoid,
+    Sum,
+    flip_conjugate,
+)
 from signet.errors import DimensionMismatch, ValidationError
 from signet.graph import Edge, Graph, incidence
 from signet.network import NetworkSystem
-from signet.nodes import Identity, SignPower
+from signet.nodes import Identity, Saturating, SignPower
 
 from conftest import SIX_EDGES
 
@@ -150,11 +159,6 @@ def test_construction_validation():
         NetworkSystem(disconnected, [Identity()] * 4, [Linear(1.0)] * 2)
 
 
-def test_linear_weights_detection(series_network, six_agreement_network):
-    np.testing.assert_allclose(series_network.linear_weights(), [0.5, 1.0])
-    assert six_agreement_network.linear_weights() is None
-
-
 @st.composite
 def graphs_with_parallel_edges(draw):
     """Connected graphs: a random spanning tree, some of its edges doubled,
@@ -173,6 +177,103 @@ def graphs_with_parallel_edges(draw):
         for k, ((a, b), flip) in enumerate(zip(pairs, flips))
     )
     return Graph(n, edges)
+
+
+# Two distinct increasing tables; drawn tensions reach well past their knots.
+TABLES = (
+    SampledTable((-2.0, 0.0, 1.0, 4.0), (-1.0, 0.0, 2.0, 2.5)),
+    SampledTable((-1.0, -0.5, 0.0, 3.0), (-3.0, -0.5, 0.0, 1.0)),
+)
+_weights = st.floats(0.1, 5.0)
+# Sign-preserving kinds only inside sums: a sum of terms with one sign has
+# no cancellation, so a one-ulp difference in a term stays one ulp.
+_increasing = st.one_of(
+    st.builds(Linear, _weights),
+    st.builds(DeadZone, _weights, st.floats(0.1, 3.0)),
+    st.builds(PowerSign, _weights, st.floats(0.1, 0.9)),
+    st.sampled_from(TABLES),
+)
+_sums = st.lists(_increasing, min_size=1, max_size=3).map(lambda ts: Sum(tuple(ts)))
+_nested_sums = st.tuples(_increasing, _sums).map(Sum)
+_sinusoids = st.builds(Sinusoid, st.floats(-3.0, 3.0))
+_negated = st.builds(
+    Negated, st.one_of(_increasing, _sums, _sinusoids, _increasing.map(Negated))
+)
+EDGE_KINDS = (
+    st.builds(Linear, st.floats(-5.0, 5.0)),
+    st.builds(DeadZone, _weights, st.floats(0.1, 3.0)),
+    st.builds(PowerSign, _weights, st.floats(0.1, 0.9)),
+    _sinusoids,
+    st.just(TABLES[0]),
+    st.just(TABLES[1]),
+    _negated,
+    _sums,
+    _nested_sums,
+)
+NODE_KINDS = st.one_of(
+    st.just(Identity()),
+    st.builds(SignPower, st.floats(0.1, 5.0), st.floats(0.1, 1.0)),
+    st.builds(Saturating, st.floats(0.1, 5.0), st.floats(0.1, 5.0)),
+)
+
+
+@st.composite
+def mixed_networks(draw):
+    """Connected networks carrying every edge kind (nested negations and
+    sums, two tables) and at least two node kinds, in random positions."""
+    n = draw(st.integers(2, 8))
+    tree = [(draw(st.integers(1, v - 1)), v) for v in range(2, n + 1)]
+    extra = len(EDGE_KINDS) + draw(st.integers(0, 6)) - len(tree)
+    chords = [
+        (a, b if b < a else b + 1)
+        for a, b in draw(st.lists(
+            st.tuples(st.integers(1, n), st.integers(1, n - 1)),
+            min_size=max(extra, 0), max_size=max(extra, 0),
+        ))
+    ]
+    pairs = tree + chords
+    fns = [draw(kind) for kind in EDGE_KINDS]
+    fns += [draw(st.one_of(*EDGE_KINDS)) for _ in range(len(pairs) - len(fns))]
+    fns = draw(st.permutations(fns))
+    dynamics = [draw(NODE_KINDS) for _ in range(n - 2)]
+    dynamics = draw(st.permutations(
+        dynamics + [SignPower(1.5, 0.5), Saturating(2.0, 0.5)]
+    ))
+    edges = tuple(Edge(k + 1, a, b) for k, (a, b) in enumerate(pairs))
+    return NetworkSystem(Graph(n, edges), dynamics, fns)
+
+
+def _loop(objs, method, values):
+    """Reference: one scalar call per edge or node."""
+    return np.array([getattr(o, method)(float(v)) for o, v in zip(objs, values)])
+
+
+@given(net=mixed_networks(), data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_grouped_evaluation_matches_scalar_loop(net, data):
+    # numpy's vectorized power, sin and tanh may differ from its scalar
+    # path by up to two ulps.
+    values = st.floats(-10.0, 10.0, allow_nan=False)
+    ys = np.array(data.draw(st.lists(
+        st.lists(values, min_size=net.node_count, max_size=net.node_count),
+        min_size=1, max_size=3,
+    )))
+    zetas = np.array([net.tension(y) for y in ys])
+    fns = net.edge_functions
+    with np.errstate(divide="ignore"):  # power-law slopes at zero tension
+        for name, method in (("flow", "__call__"), ("cocontent", "cocontent"),
+                             ("slope", "derivative")):
+            batched = getattr(net, name)(zetas)
+            assert batched.shape == zetas.shape
+            for row, zeta in zip(batched, zetas):
+                ref = _loop(fns, method, zeta)
+                np.testing.assert_array_max_ulp(row, ref, maxulp=2)
+                np.testing.assert_array_max_ulp(getattr(net, name)(zeta), ref, maxulp=2)
+    for y in ys:
+        u = net.node_input(y)
+        np.testing.assert_array_max_ulp(
+            net.vector_field(y), _loop(net.node_dynamics, "gamma", u), maxulp=2
+        )
 
 
 @given(g=graphs_with_parallel_edges(), data=st.data())

@@ -1,20 +1,20 @@
-"""Node dynamics: drift, sector condition, storage."""
+"""Node dynamics: gamma, sector condition, storage."""
 
 import numpy as np
 import pytest
 
 from signet.edgefn import GridSpec
 from signet.errors import UnsupportedDynamics, ValidationError
-from signet.nodes import Identity, Saturating, SignPower, drift, sector_check, storage
+from signet.nodes import Identity, Saturating, SignPower, sector_check, storage
 
 GRID = GridSpec(10.0, 1001)
 
 
 def test_drift_examples():
-    assert drift(Identity(), 2.5) == 2.5
-    assert drift(SignPower(1.0, 0.5), 4.0) == 2.0
+    assert Identity().gamma(2.5) == 2.5
+    assert SignPower(1.0, 0.5).gamma(4.0) == 2.0
     for d in (Identity(), SignPower(2.0, 0.7), Saturating(1.0, 1.0)):
-        assert drift(d, 0.0) == 0.0
+        assert d.gamma(0.0) == 0.0
 
 
 def test_sector_check():
@@ -33,9 +33,12 @@ def test_gamma_is_odd():
 
 
 def test_batch_gamma_matches_scalar():
+    # numpy's vectorized power and tanh may differ from its scalar path by
+    # up to two ulps.
     u = np.linspace(-5, 5, 41)
     for d in (Identity(), SignPower(2.0, 0.4), Saturating(3.0, 0.5)):
-        np.testing.assert_allclose(d.batch_gamma(u), [d.gamma(v) for v in u])
+        scalar = [d.gamma(float(v)) for v in u]
+        np.testing.assert_array_max_ulp(d.gamma(u), scalar, maxulp=2)
 
 
 def test_storage_examples():

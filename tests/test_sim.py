@@ -166,6 +166,24 @@ def test_steady_tension_requires_settled_outcome():
         steady_tension(net, tr, cfg)
 
 
+class _BrokenEquilibria(Linear):
+    """A linear edge whose zero set cannot be computed."""
+
+    def equilibria(self):
+        raise ValueError("zero set unavailable")
+
+
+def test_steady_tension_propagates_equilibria_errors():
+    # Only NotAnInterval means "no interval to test"; any other error is a
+    # defect and must not be reported as an unknown membership.
+    g = Graph(2, (Edge(1, 1, 2),))
+    net = NetworkSystem(g, [Identity()] * 2, [_BrokenEquilibria(1.0)])
+    cfg = SimConfig(t_end=2.0, dt=1e-3, record_every=100, u_tol=1e-9, window=1.0)
+    tr = simulate(net, np.array([2.0, 2.0]), cfg)
+    with pytest.raises(ValueError, match="zero set unavailable"):
+        steady_tension(net, tr, cfg)
+
+
 def test_quadratic_storage_decreases_on_positive_networks(
     six_agreement_network, six_agreement_run,
     six_clustering_network, six_clustering_run,
