@@ -33,8 +33,8 @@ _ORIGIN_TOL = 1e-9
 # |values| at or below this count as zero in grid scans.
 _ZERO_TOL = 1e-12
 
-# A tension argument: a float or an array of them.
-Tension = Union[float, np.ndarray]
+# Argument and result of the elementwise methods of edge and node kinds.
+FloatOrArray = Union[float, np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -152,14 +152,14 @@ class EdgeFunction:
     def __post_init__(self):
         check_finite_parameters(self)
 
-    def __call__(self, zeta: Tension) -> Tension:
+    def __call__(self, zeta: FloatOrArray) -> FloatOrArray:
         raise NotImplementedError
 
-    def cocontent(self, zeta: Tension) -> Tension:
+    def cocontent(self, zeta: FloatOrArray) -> FloatOrArray:
         """Integral of the function from 0 to zeta (always 0 at zeta = 0)."""
         raise NotImplementedError
 
-    def derivative(self, zeta: Tension) -> Tension:
+    def derivative(self, zeta: FloatOrArray) -> FloatOrArray:
         """Slope at zeta; infinite at isolated points (power laws at 0)."""
         raise NotImplementedError
 
@@ -174,13 +174,13 @@ class Linear(EdgeFunction):
 
     w: float
 
-    def __call__(self, zeta: Tension) -> Tension:
+    def __call__(self, zeta: FloatOrArray) -> FloatOrArray:
         return self.w * zeta
 
-    def cocontent(self, zeta: Tension) -> Tension:
+    def cocontent(self, zeta: FloatOrArray) -> FloatOrArray:
         return 0.5 * self.w * zeta * zeta
 
-    def derivative(self, zeta: Tension) -> Tension:
+    def derivative(self, zeta: FloatOrArray) -> FloatOrArray:
         return self.w * np.ones_like(zeta)
 
     def equilibria(self) -> EquilibriaInterval:
@@ -205,14 +205,14 @@ class DeadZone(EdgeFunction):
         if not (self.band > 0):
             raise ValidationError(f"dead zone band must be > 0, got {self.band}")
 
-    def __call__(self, zeta: Tension) -> Tension:
+    def __call__(self, zeta: FloatOrArray) -> FloatOrArray:
         return np.copysign(np.maximum(np.abs(zeta) - self.band, 0.0), zeta) * self.w
 
-    def cocontent(self, zeta: Tension) -> Tension:
+    def cocontent(self, zeta: FloatOrArray) -> FloatOrArray:
         excess = np.maximum(np.abs(zeta) - self.band, 0.0)
         return 0.5 * self.w * excess * excess
 
-    def derivative(self, zeta: Tension) -> Tension:
+    def derivative(self, zeta: FloatOrArray) -> FloatOrArray:
         return self.w * (np.abs(zeta) > self.band)
 
     def equilibria(self) -> EquilibriaInterval:
@@ -241,13 +241,13 @@ class PowerSign(EdgeFunction):
                 f"power exponent must lie in (0, 1), got {self.alpha}"
             )
 
-    def __call__(self, zeta: Tension) -> Tension:
+    def __call__(self, zeta: FloatOrArray) -> FloatOrArray:
         return np.copysign(np.abs(zeta) ** self.alpha, zeta) * self.w
 
-    def cocontent(self, zeta: Tension) -> Tension:
+    def cocontent(self, zeta: FloatOrArray) -> FloatOrArray:
         return self.w / (1.0 + self.alpha) * np.abs(zeta) ** (1.0 + self.alpha)
 
-    def derivative(self, zeta: Tension) -> Tension:
+    def derivative(self, zeta: FloatOrArray) -> FloatOrArray:
         return self.w * self.alpha * np.abs(zeta) ** (self.alpha - 1.0)
 
     def equilibria(self) -> EquilibriaInterval:
@@ -262,13 +262,13 @@ class Sinusoid(EdgeFunction):
 
     a: float
 
-    def __call__(self, zeta: Tension) -> Tension:
+    def __call__(self, zeta: FloatOrArray) -> FloatOrArray:
         return self.a * np.sin(zeta)
 
-    def cocontent(self, zeta: Tension) -> Tension:
+    def cocontent(self, zeta: FloatOrArray) -> FloatOrArray:
         return self.a * (1.0 - np.cos(zeta))
 
-    def derivative(self, zeta: Tension) -> Tension:
+    def derivative(self, zeta: FloatOrArray) -> FloatOrArray:
         return self.a * np.cos(zeta)
 
     def equilibria(self) -> EquilibriaInterval:
@@ -283,13 +283,13 @@ class Negated(EdgeFunction):
 
     inner: EdgeFunction
 
-    def __call__(self, zeta: Tension) -> Tension:
+    def __call__(self, zeta: FloatOrArray) -> FloatOrArray:
         return -self.inner(zeta)
 
-    def cocontent(self, zeta: Tension) -> Tension:
+    def cocontent(self, zeta: FloatOrArray) -> FloatOrArray:
         return -self.inner.cocontent(zeta)
 
-    def derivative(self, zeta: Tension) -> Tension:
+    def derivative(self, zeta: FloatOrArray) -> FloatOrArray:
         return -self.inner.derivative(zeta)
 
     def equilibria(self) -> EquilibriaInterval:
@@ -308,15 +308,15 @@ class Sum(EdgeFunction):
             raise ValidationError("sum needs at least one term")
         object.__setattr__(self, "terms", terms)
 
-    def __call__(self, zeta: Tension) -> Tension:
+    def __call__(self, zeta: FloatOrArray) -> FloatOrArray:
         return sum(t(zeta) for t in self.terms)
 
-    def cocontent(self, zeta: Tension) -> Tension:
+    def cocontent(self, zeta: FloatOrArray) -> FloatOrArray:
         # Integration is linear, so the sum of the terms' closed forms is
         # exact; no quadrature needed.
         return sum(t.cocontent(zeta) for t in self.terms)
 
-    def derivative(self, zeta: Tension) -> Tension:
+    def derivative(self, zeta: FloatOrArray) -> FloatOrArray:
         return sum(t.derivative(zeta) for t in self.terms)
 
 
@@ -343,21 +343,20 @@ class SampledTable(EdgeFunction):
     _zero_cocontent: float = field(default=0.0, repr=False, compare=False)
 
     def __post_init__(self):
-        z = tuple(float(v) for v in self.zetas)
-        m = tuple(float(v) for v in self.mus)
-        if len(z) != len(m):
+        za = np.array(self.zetas, dtype=float)
+        ma = np.array(self.mus, dtype=float)
+        if za.shape != ma.shape or za.ndim != 1:
             raise ValidationError("table zeta and mu columns differ in length")
-        if len(z) < 2:
+        if za.size < 2:
             raise ValidationError("table needs at least two sample points")
-        if not all(math.isfinite(v) for v in z + m):
+        if not (np.isfinite(za).all() and np.isfinite(ma).all()):
             raise ValidationError("table zeta and mu values must be finite")
-        if any(b <= a for a, b in zip(z, z[1:])):
+        if np.any(np.diff(za) <= 0.0):
             raise ValidationError("table zeta values must be strictly increasing")
-        if not (z[0] <= 0.0 <= z[-1]):
+        if not (za[0] <= 0.0 <= za[-1]):
             raise ValidationError("table must bracket zeta = 0")
-        object.__setattr__(self, "zetas", z)
-        object.__setattr__(self, "mus", m)
-        za, ma = np.array(z), np.array(m)
+        object.__setattr__(self, "zetas", tuple(za.tolist()))
+        object.__setattr__(self, "mus", tuple(ma.tolist()))
         slope = np.diff(ma) / np.diff(za)
         prefix = np.cumsum(0.5 * (ma[:-1] + ma[1:]) * np.diff(za))
         knots = (za, ma, np.append(slope, slope[-1]), np.insert(prefix, 0, 0.0))
@@ -371,22 +370,22 @@ class SampledTable(EdgeFunction):
                 f"edge function must vanish at 0, table gives {self(0.0)!r}"
             )
 
-    def __call__(self, zeta: Tension) -> Tension:
+    def __call__(self, zeta: FloatOrArray) -> FloatOrArray:
         z, m, s, _ = self._knots
         i = self._breaks.searchsorted(zeta, side="right")
         return m[i] + s[i] * (zeta - z[i])
 
-    def _integral(self, zeta: Tension) -> Tension:
+    def _integral(self, zeta: FloatOrArray) -> FloatOrArray:
         """Integral of the interpolant from the first knot to zeta."""
         z, m, s, prefix = self._knots
         i = self._breaks.searchsorted(zeta, side="right")
         d = zeta - z[i]
         return prefix[i] + m[i] * d + 0.5 * s[i] * d * d
 
-    def cocontent(self, zeta: Tension) -> Tension:
+    def cocontent(self, zeta: FloatOrArray) -> FloatOrArray:
         return self._integral(zeta) - self._zero_cocontent
 
-    def derivative(self, zeta: Tension) -> Tension:
+    def derivative(self, zeta: FloatOrArray) -> FloatOrArray:
         return self._knots[2][self._breaks.searchsorted(zeta, side="right")]
 
     def equilibria(self) -> EquilibriaInterval:

@@ -22,7 +22,8 @@ from __future__ import annotations
 
 import dataclasses
 import functools
-from typing import Callable, Hashable, Optional, Sequence, Union
+from collections.abc import Hashable
+from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -47,15 +48,18 @@ def _float_fields(kind: type) -> Optional[tuple[str, ...]]:
 def _kind_key(obj) -> Hashable:
     """Objects with equal keys stack into one group.
 
-    The key is the kind, nested through Negated and Sum.  Kinds with other
-    than float parameters (sampled tables) group only with themselves.
+    The key is the kind, nested through Negated and Sum.  An object of a
+    kind with other than float parameters (a sampled table) groups only with
+    objects equal to it.
     """
     kind = type(obj)
     if kind is ef.Negated:
         return (kind, _kind_key(obj.inner))
     if kind is ef.Sum:
         return (kind,) + tuple(_kind_key(t) for t in obj.terms)
-    return kind if _float_fields(kind) is not None else id(obj)
+    if _float_fields(kind) is not None:
+        return kind
+    return obj if isinstance(obj, Hashable) else id(obj)
 
 
 def _stack(objs: Sequence) -> object:

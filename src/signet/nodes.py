@@ -18,7 +18,7 @@ from typing import Callable, Union
 import numpy as np
 
 from .errors import UnsupportedDynamics, ValidationError
-from .edgefn import GridSpec, Tension, check_finite_parameters
+from .edgefn import GridSpec, FloatOrArray, check_finite_parameters
 
 _SECTOR_EQ_TOL = 1e-12
 
@@ -29,7 +29,7 @@ class NodeDynamics:
     def __post_init__(self):
         check_finite_parameters(self)
 
-    def gamma(self, u: Tension) -> Tension:
+    def gamma(self, u: FloatOrArray) -> FloatOrArray:
         raise NotImplementedError
 
     def _assert_sector(self) -> None:
@@ -44,7 +44,7 @@ class NodeDynamics:
 class Identity(NodeDynamics):
     """Single integrator: x' = u."""
 
-    def gamma(self, u: Tension) -> Tension:
+    def gamma(self, u: FloatOrArray) -> FloatOrArray:
         return u
 
 
@@ -64,7 +64,7 @@ class SignPower(NodeDynamics):
             raise ValidationError(f"exponent beta must be in (0, 1], got {self.beta}")
         self._assert_sector()
 
-    def gamma(self, u: Tension) -> Tension:
+    def gamma(self, u: FloatOrArray) -> FloatOrArray:
         return np.copysign(np.abs(u) ** self.beta, u) * self.c
 
 
@@ -81,7 +81,7 @@ class Saturating(NodeDynamics):
             raise ValidationError("saturating dynamics need c > 0 and s > 0")
         self._assert_sector()
 
-    def gamma(self, u: Tension) -> Tension:
+    def gamma(self, u: FloatOrArray) -> FloatOrArray:
         return self.c * np.tanh(u / self.s)
 
 

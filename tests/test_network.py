@@ -180,10 +180,11 @@ def graphs_with_parallel_edges(draw):
 
 
 # Two distinct increasing tables; drawn tensions reach well past their knots.
-TABLES = (
-    SampledTable((-2.0, 0.0, 1.0, 4.0), (-1.0, 0.0, 2.0, 2.5)),
-    SampledTable((-1.0, -0.5, 0.0, 3.0), (-3.0, -0.5, 0.0, 1.0)),
+TABLE_KNOTS = (
+    ((-2.0, 0.0, 1.0, 4.0), (-1.0, 0.0, 2.0, 2.5)),
+    ((-1.0, -0.5, 0.0, 3.0), (-3.0, -0.5, 0.0, 1.0)),
 )
+TABLES = tuple(SampledTable(*knots) for knots in TABLE_KNOTS)
 _weights = st.floats(0.1, 5.0)
 # Sign-preserving kinds only inside sums: a sum of terms with one sign has
 # no cancellation, so a one-ulp difference in a term stays one ulp.
@@ -204,8 +205,8 @@ EDGE_KINDS = (
     st.builds(DeadZone, _weights, st.floats(0.1, 3.0)),
     st.builds(PowerSign, _weights, st.floats(0.1, 0.9)),
     _sinusoids,
-    st.just(TABLES[0]),
-    st.just(TABLES[1]),
+    # Fresh copies: equal tables built apart must still group together.
+    *(st.builds(SampledTable, st.just(z), st.just(m)) for z, m in TABLE_KNOTS),
     _negated,
     _sums,
     _nested_sums,
