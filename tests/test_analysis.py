@@ -220,8 +220,7 @@ def test_eigen_oracle_values(triangle_unit_network):
     assert signed_laplacian_min_eigenvalue(tri, [0.5, 1.0, -0.5]) < -1e-3
 
 
-def test_network_linear_weights(series_network, six_agreement_network):
-    np.testing.assert_allclose(network_linear_weights(series_network), [0.5, 1.0])
+def test_network_linear_weights(six_agreement_network):
     net = series_plus_closing(-0.25)
     np.testing.assert_allclose(network_linear_weights(net), [0.5, 1.0, -0.25])
     with pytest.raises(NonLinearEdges):

@@ -15,7 +15,8 @@ from signet.edgefn import (
     Sum,
     flip_conjugate,
 )
-from signet.errors import DimensionMismatch, ValidationError
+from signet.analysis import network_linear_weights
+from signet.errors import DimensionMismatch, NonLinearEdges, ValidationError
 from signet.graph import Edge, Graph, incidence
 from signet.network import NetworkSystem
 from signet.nodes import Identity, Saturating, SignPower
@@ -157,6 +158,12 @@ def test_construction_validation():
     disconnected = Graph(4, (Edge(1, 1, 2), Edge(2, 3, 4)))
     with pytest.raises(ValidationError):
         NetworkSystem(disconnected, [Identity()] * 4, [Linear(1.0)] * 2)
+
+
+def test_linear_weights_detection(series_network, six_agreement_network):
+    np.testing.assert_allclose(network_linear_weights(series_network), [0.5, 1.0])
+    with pytest.raises(NonLinearEdges):
+        network_linear_weights(six_agreement_network)
 
 
 @st.composite
