@@ -45,7 +45,6 @@ from .edgefn import (
     Sinusoid,
     Sum,
     classify_sign,
-    equilibria,
     is_monotone_increasing,
 )
 from .errors import (
@@ -73,9 +72,12 @@ from .graph import (
     connected_components,
     cycle_indicator,
     cycles_through_edge,
+    edge_blocks,
     edge_subgraph,
     incidence,
     is_connected,
+    least_path_cost,
+    unique_cycle_through_edge,
 )
 from .network import NetworkSystem
 from .nodes import Identity, NodeDynamics, Saturating, SignPower, sector_check, storage

@@ -6,13 +6,16 @@ returns a verdict with the certificates that back it:
 * a connected spanning subnetwork of strictly positive edges guarantees
   agreement of all outputs;
 * an all-positive network always converges, possibly into clusters;
-* with exactly one non-strictly-positive edge, passivity of that edge
-  function plus the equivalent edge function of the remaining strictly
-  positive two-terminal network guarantees convergence (agreement when the
-  sum is strictly passive), and a unique cycle through the edge pins the
-  possible cluster counts to {1, cycle length};
-* several non-strictly-positive edges are handled the same way when no two
-  of them share a cycle.
+* non-strictly-positive edges no two of which share a cycle are tested one
+  by one: passivity of each edge function plus the equivalent edge function
+  of the remaining strictly positive two-terminal network guarantees
+  convergence.  With a single such edge, agreement follows when the sum is
+  strictly passive, and a unique cycle through the edge pins the possible
+  cluster counts to {1, cycle length}.
+
+The graph queries behind these verdicts and behind ``distance_bounds`` run
+in polynomial time (biconnected blocks and shortest paths, see
+``signet.graph``); path and cycle enumeration serves only as a test oracle.
 
 All passivity tests are grid tests with recorded grids; verdicts are
 certificates over the grid, not symbolic proofs.  Failure of every
@@ -24,7 +27,6 @@ eigenvalue oracle is the exception, and is exposed separately).
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -32,21 +34,16 @@ import numpy as np
 
 from . import edgefn as ef
 from .circuit import EquivalentEdgeTable, equivalent_edge_function
-from .errors import (
-    CapExceeded,
-    Inapplicable,
-    NonLinearEdges,
-    NotAnInterval,
-    ValidationError,
-)
+from .errors import Inapplicable, NonLinearEdges, NotAnInterval, ValidationError
 from .graph import (
     Graph,
     Path,
-    all_simple_paths,
     connected_components,
-    cycles_through_edge,
+    edge_blocks,
     edge_subgraph,
     incidence,
+    least_path_cost,
+    unique_cycle_through_edge,
 )
 from .network import NetworkSystem
 
@@ -144,7 +141,6 @@ def cluster_count_prediction(
     system: NetworkSystem,
     edge_id: int,
     grid: ef.GridSpec,
-    cap: int = 20,
 ) -> CycleClusterCount:
     """Cluster counts {1, cycle length} for a unique-cycle non-strict edge.
 
@@ -163,22 +159,10 @@ def cluster_count_prediction(
             f"edge {edge_id} must be the only non-strictly-positive edge, "
             f"found {non_strict}"
         )
-    cycles = cycles_through_edge(system.graph, edge_id, cap=cap)
-    if len(cycles) != 1:
-        raise Inapplicable(
-            f"expected exactly one cycle through edge {edge_id}, "
-            f"found {len(cycles)}"
-        )
-    cycle = cycles[0]
+    cycle = unique_cycle_through_edge(system.graph, edge_id)
+    if cycle is None:
+        raise Inapplicable(f"edge {edge_id} does not lie on exactly one cycle")
     return CycleClusterCount(frozenset({1, cycle.node_count()}), cycle)
-
-
-def _edges_share_cycle(g: Graph, a: int, b: int, cap: int) -> bool:
-    """True when some simple cycle contains both edges."""
-    for cycle in cycles_through_edge(g, a, cap=cap):
-        if any(step.edge_id == b for step in cycle.steps):
-            return True
-    return False
 
 
 def predict(
@@ -186,14 +170,13 @@ def predict(
     grid: Optional[ef.GridSpec] = None,
     eq_half_width: float = 100.0,
     eq_samples: int = 2001,
-    cap: int = 20,
 ) -> Prediction:
     """Strongest applicable convergence verdict with certificates.
 
-    Dispatch order: spanning strictly positive subnetwork (agreement), all
-    edges positive (convergence), single non-strict edge with the
-    equivalent-passivity test (agreement when strict; cluster counts when a
-    unique cycle exists), several cycle-separated non-strict edges, and
+    Dispatch order: spanning strictly positive subnetwork (agreement), a
+    single non-strict edge with the equivalent-passivity test (agreement
+    when strict; cluster counts when a unique cycle exists), all edges
+    positive (convergence), several cycle-separated non-strict edges, and
     otherwise NoGuarantee.
     """
     grid = grid or ef.GridSpec(100.0, 2001)
@@ -217,34 +200,36 @@ def predict(
 
     non_strict = [e.id for e in system.graph.edges if e.id not in sp_set]
 
-    if len(non_strict) == 1:
-        single = _predict_single(
-            system, non_strict[0], certificates, eq_half_width, eq_samples, cap
+    if len(non_strict) == 1 or not all_positive:
+        verdict = _predict_non_strict(
+            system, non_strict, certificates, eq_half_width, eq_samples
         )
-        if single is not None:
-            return single
+        if verdict is not None:
+            return verdict
 
     if all_positive:
         return Prediction(
             Verdict.CONVERGENCE_GUARANTEED, "positive-network", None, certificates
         )
-
-    if len(non_strict) >= 2:
-        multi = _predict_cycle_separated(
-            system, non_strict, certificates, eq_half_width, eq_samples, cap
-        )
-        if multi is not None:
-            return multi
-
     return Prediction(Verdict.NO_GUARANTEE, "none", None, certificates)
 
 
-def _predict_single(
-    system, hat_id, certificates, eq_half_width, eq_samples, cap
+def _predict_non_strict(
+    system, non_strict, certificates, eq_half_width, eq_samples
 ):
-    """Single non-strict edge: equivalent-passivity dispatch."""
-    hat_edge = system.graph.edge(hat_id)
-    rest = [e.id for e in system.graph.edges if e.id != hat_id]
+    """Equivalent passivity of non-strict edges no two of which share a cycle.
+
+    Returns None when the test does not apply: two of the edges share a
+    cycle, or the strictly positive rest is empty, disconnected or not
+    monotone.  A single edge is the k = 1 case, the only one that can
+    certify agreement or predict cluster counts.
+    """
+    g = system.graph
+    labels = edge_blocks(g)
+    if len({labels[k - 1] for k in non_strict}) < len(non_strict):
+        return None
+    non_strict_set = set(non_strict)
+    rest = [e.id for e in g.edges if e.id not in non_strict_set]
     if not rest:
         return None
     try:
@@ -255,15 +240,29 @@ def _predict_single(
     for f in positive_part.edge_functions:
         if not ef.is_monotone_increasing(f, grid).nondecreasing:
             return None
-    psi_hat = system.edge_functions[hat_id - 1]
-    report = equivalent_passivity_condition(
-        positive_part, psi_hat, hat_edge.tail, hat_edge.head,
-        eq_half_width, eq_samples,
-    )
-    certificates["condition"] = report
-    certificates["terminal_edge"] = hat_id
+    reports = {}
+    for hat_id in non_strict:
+        hat_edge = g.edge(hat_id)
+        report = equivalent_passivity_condition(
+            positive_part, system.edge_functions[hat_id - 1],
+            hat_edge.tail, hat_edge.head, eq_half_width, eq_samples,
+        )
+        reports[hat_id] = report
+        if not report.holds:
+            break
+    certificates["conditions"] = reports
+    if len(non_strict) == 1:
+        certificates["condition"] = report
+        certificates["terminal_edge"] = hat_id
     if not report.holds:
         return Prediction(Verdict.NO_GUARANTEE, "none", None, certificates)
+    if len(non_strict) > 1:
+        return Prediction(
+            Verdict.CONVERGENCE_GUARANTEED,
+            "cycle-separated-equivalent-passivity",
+            None,
+            certificates,
+        )
     if report.strict:
         return Prediction(
             Verdict.AGREEMENT_GUARANTEED,
@@ -271,102 +270,43 @@ def _predict_single(
             None,
             certificates,
         )
-    try:
-        cycle_info = cluster_count_prediction(system, hat_id, grid, cap=cap)
-    except (Inapplicable, CapExceeded):
-        cycle_info = None
-    if cycle_info is not None:
-        certificates["cycle"] = cycle_info.cycle
-        certificates["cycle_length"] = cycle_info.cycle.node_count()
+    cycle = unique_cycle_through_edge(g, hat_id)
+    if cycle is None:
         return Prediction(
-            Verdict.CLUSTER_COUNT_PREDICTION,
-            "single-cycle-cluster-count",
-            cycle_info.counts,
+            Verdict.CONVERGENCE_GUARANTEED,
+            "equivalent-passivity",
+            None,
             certificates,
         )
+    certificates["cycle"] = cycle
+    certificates["cycle_length"] = cycle.node_count()
     return Prediction(
-        Verdict.CONVERGENCE_GUARANTEED,
-        "equivalent-passivity",
-        None,
+        Verdict.CLUSTER_COUNT_PREDICTION,
+        "single-cycle-cluster-count",
+        frozenset({1, cycle.node_count()}),
         certificates,
     )
 
 
-def _predict_cycle_separated(
-    system, non_strict, certificates, eq_half_width, eq_samples, cap
-):
-    """Several non-strict edges, no two on a common cycle."""
-    try:
-        for i, a in enumerate(non_strict):
-            for b in non_strict[i + 1 :]:
-                if _edges_share_cycle(system.graph, a, b, cap):
-                    return None
-    except CapExceeded:
-        return None
-    non_strict_set = set(non_strict)
-    rest = [e.id for e in system.graph.edges if e.id not in non_strict_set]
-    if not rest:
-        return None
-    try:
-        positive_part, _ = positive_subnetwork(system, rest)
-    except ValidationError:
-        return None
-    grid = certificates["grid"]
-    for f in positive_part.edge_functions:
-        if not ef.is_monotone_increasing(f, grid).nondecreasing:
-            return None
-    reports = {}
-    for hat_id in non_strict:
-        hat_edge = system.graph.edge(hat_id)
-        psi_hat = system.edge_functions[hat_id - 1]
-        report = equivalent_passivity_condition(
-            positive_part, psi_hat, hat_edge.tail, hat_edge.head,
-            eq_half_width, eq_samples,
-        )
-        reports[hat_id] = report
-        if not report.holds:
-            certificates["conditions"] = reports
-            return Prediction(Verdict.NO_GUARANTEE, "none", None, certificates)
-    certificates["conditions"] = reports
-    return Prediction(
-        Verdict.CONVERGENCE_GUARANTEED,
-        "cycle-separated-equivalent-passivity",
-        None,
-        certificates,
-    )
-
-
-def distance_bounds(
-    system: NetworkSystem, i: int, j: int, cap: int = 20
-) -> tuple[float, float]:
+def distance_bounds(system: NetworkSystem, i: int, j: int) -> tuple[float, float]:
     """Bracket for the limit of y_i - y_j in a positive network.
 
     Every path from i to j bounds the difference by the sum of the edges'
     equilibria intervals, orientation-corrected (an edge walked against its
     orientation contributes its negated, swapped interval); the bracket is
-    the tightest combination over all simple paths.
+    the tightest combination over all simple paths.  Each step adds a
+    non-positive amount to the lower sum and a non-negative one to the
+    upper sum, so each end is a least path cost (two Dijkstra runs).
 
-    Raises CapExceeded past the enumeration cap and propagates
-    NotAnInterval from edges without an interval-shaped zero set.
+    Propagates NotAnInterval from edges without an interval-shaped zero
+    set, and raises ValidationError when no path joins i and j.
     """
     intervals = [f.equilibria() for f in system.edge_functions]
-    paths = all_simple_paths(system.graph, i, j, cap=cap)
-    if not paths:
-        raise ValidationError(f"no path between nodes {i} and {j}")
-    z_min = -math.inf
-    z_max = math.inf
-    for path in paths:
-        lo = hi = 0.0
-        for step in path.steps:
-            iv = intervals[step.edge_id - 1]
-            if step.flip == 0:
-                lo += iv.lower
-                hi += iv.upper
-            else:
-                lo -= iv.upper
-                hi -= iv.lower
-        z_min = max(z_min, lo)
-        z_max = min(z_max, hi)
+    drops = [-iv.lower for iv in intervals]
+    rises = [iv.upper for iv in intervals]
+    # 0.0 - cost: a zero lower end stays +0.0, as the path sums start at +0.0.
+    z_min = 0.0 - least_path_cost(system.graph, i, j, drops, rises)
+    z_max = least_path_cost(system.graph, i, j, rises, drops)
     return z_min, z_max
 
 

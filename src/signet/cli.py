@@ -3,7 +3,8 @@
 Every command reads a JSON config and writes its artifacts into the output
 directory.  Outputs are deterministic: identical inputs produce
 byte-identical files.  Exit codes: 0 success, 2 validation error, 3 solver
-failure, 4 enumeration cap exceeded.
+failure, 4 enumeration cap exceeded (kept for the library's enumeration
+routines; no command enumerates paths, so none reaches it).
 """
 
 from __future__ import annotations

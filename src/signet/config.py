@@ -116,6 +116,8 @@ def _edge_function(spec, where: str, base_dir: Optional[Path]) -> ef.EdgeFunctio
         if kind == "sampled_table":
             _require_keys(spec, {"kind", "csv", "zeta", "mu"}, set(), where)
             if "csv" in spec:
+                if not isinstance(spec["csv"], str):
+                    raise ValidationError(f"{where}: 'csv' must be a path string")
                 path = Path(spec["csv"])
                 if not path.is_absolute() and base_dir is not None:
                     path = base_dir / path
@@ -124,6 +126,9 @@ def _edge_function(spec, where: str, base_dir: Optional[Path]) -> ef.EdgeFunctio
                 raise ValidationError(
                     f"{where}: sampled_table needs 'csv' or 'zeta'+'mu'"
                 )
+            for key in ("zeta", "mu"):
+                if not isinstance(spec[key], list):
+                    raise ValidationError(f"{where}: '{key}' must be a list")
             return ef.SampledTable(
                 tuple(_number(v, where) for v in spec["zeta"]),
                 tuple(_number(v, where) for v in spec["mu"]),

@@ -45,8 +45,12 @@ class GridSpec:
     samples: int = 2001
 
     def validate(self, min_samples: int = 101) -> None:
-        if not (self.n > 0):
-            raise InvalidGrid(f"grid half-width must be positive, got {self.n}")
+        # The classifier squares grid points, so n * n must stay finite too.
+        if not (self.n > 0 and math.isfinite(self.n * self.n)):
+            raise InvalidGrid(
+                f"grid half-width must be positive and its square finite, "
+                f"got {self.n}"
+            )
         if self.samples < min_samples:
             raise InvalidGrid(
                 f"grid needs at least {min_samples} samples, got {self.samples}"
@@ -493,16 +497,6 @@ def classify_sign(f: EdgeFunction, grid: GridSpec) -> SignClass:
         return SignClass(SignLabel.NEGATIVE, 0.0, witness, grid)
     witness = float(z[int(np.argmin(p))])
     return SignClass(SignLabel.INDEFINITE, 0.0, witness, grid)
-
-
-def equilibria(f: EdgeFunction) -> EquilibriaInterval:
-    """Zero interval of the edge function around the origin.
-
-    Closed-form for the built-in kinds; a grid scan with bisection-refined
-    endpoints otherwise.  Raises NotAnInterval when the zero set near the
-    origin is not an interval (e.g. sinusoids).
-    """
-    return f.equilibria()
 
 
 def _equilibria_by_scan(

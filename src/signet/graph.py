@@ -5,14 +5,20 @@ fixed orientation (tail -> head).  The orientation is an input, never chosen
 internally, so that tension signs are reproducible across runs.  Graphs are
 stored as edge lists.  The dense incidence matrix is formed only on request,
 as a reference for small graphs; the simulation and solver paths work on
-edge index arrays instead (see ``NetworkSystem``).  Enumeration routines are
-exponential and guarded by an explicit node-count cap.
+edge index arrays instead (see ``NetworkSystem``).
+
+The predictors' graph queries run in linear or near-linear time: biconnected
+blocks (Tarjan 1972) decide which edges share a cycle and read off the only
+cycle through an edge, and Dijkstra's algorithm (1959) gives least path
+costs.  Simple-path and cycle enumeration is exponential, guarded by an
+explicit node-count cap, and kept as the test oracle for those queries.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Optional
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -159,6 +165,122 @@ def connected_components(
 
 def is_connected(g: Graph) -> bool:
     return len(connected_components(g)) == 1
+
+
+def edge_blocks(g: Graph) -> tuple[int, ...]:
+    """Biconnected-block label of every edge, indexed by edge id - 1.
+
+    Two edges carry the same label exactly when some simple cycle contains
+    both; a bridge is a block of its own.  Tarjan's depth-first search,
+    run with an explicit stack so that long rings do not exhaust Python's
+    recursion limit; the edge to the parent is skipped by id, so a parallel
+    edge counts as a back edge.  O(node_count + edge_count) after sorting
+    the adjacency lists.
+    """
+    adj = _adjacency(g, None)
+    disc = [0] * (g.node_count + 1)  # discovery time, 0 = unvisited
+    low = [0] * (g.node_count + 1)
+    labels = [-1] * g.edge_count
+    pending: list[int] = []  # edges of the blocks still open
+    clock = blocks = 0
+    for root in range(1, g.node_count + 1):
+        if disc[root]:
+            continue
+        clock += 1
+        disc[root] = low[root] = clock
+        frames = [(root, 0, iter(adj[root]))]  # node, edge from parent, cursor
+        while frames:
+            v, via, cursor = frames[-1]
+            for w, e in cursor:
+                if e.id == via:
+                    continue
+                if not disc[w]:
+                    pending.append(e.id)
+                    clock += 1
+                    disc[w] = low[w] = clock
+                    frames.append((w, e.id, iter(adj[w])))
+                    break
+                if disc[w] < disc[v]:  # back edge to an ancestor
+                    pending.append(e.id)
+                    low[v] = min(low[v], disc[w])
+            else:
+                frames.pop()
+                if not frames:
+                    continue
+                u = frames[-1][0]
+                low[u] = min(low[u], low[v])
+                if low[v] >= disc[u]:  # u separates v's subtree: close a block
+                    while True:
+                        k = pending.pop()
+                        labels[k - 1] = blocks
+                        if k == via:
+                            break
+                    blocks += 1
+    return tuple(labels)
+
+
+def unique_cycle_through_edge(g: Graph, edge_id: int) -> Optional[Path]:
+    """Closing path of the only simple cycle through the edge, else None.
+
+    An edge lies on exactly one cycle when its biconnected block has as many
+    edges as nodes: the block is then that cycle.  The path runs from the
+    edge's head back to its tail, as the paths of ``cycles_through_edge``
+    do.  O(node_count + edge_count).
+    """
+    e = g.edge(edge_id)
+    labels = edge_blocks(g)
+    block = [x for x in g.edges if labels[x.id - 1] == labels[edge_id - 1]]
+    ends: dict[int, list[Edge]] = {}
+    for x in block:
+        ends.setdefault(x.tail, []).append(x)
+        ends.setdefault(x.head, []).append(x)
+    if len(block) != len(ends):
+        return None
+    steps = []
+    v, prev = e.head, edge_id
+    while v != e.tail:
+        x = next(x for x in ends[v] if x.id != prev)
+        steps.append(PathStep(x.id, 0 if x.tail == v else 1))
+        v, prev = (x.head if x.tail == v else x.tail), x.id
+    return Path(tuple(steps), e.head, e.tail)
+
+
+def least_path_cost(
+    g: Graph,
+    i: int,
+    j: int,
+    forward: Sequence[float],
+    backward: Sequence[float],
+) -> float:
+    """Least total cost of a path from node i to node j (Dijkstra).
+
+    Walking edge k tail -> head costs ``forward[k - 1]``, head -> tail
+    ``backward[k - 1]``; costs must be non-negative and may be +inf.  Costs
+    are summed from i outward, and rounded addition is monotone, so the
+    result equals the least such sum over all simple paths exactly.  Raises
+    ValidationError when no path joins i and j.
+    """
+    for v in (i, j):
+        if not (1 <= v <= g.node_count):
+            raise ValidationError(f"node {v} out of range")
+    adj = _adjacency(g, None)
+    best = {i: 0.0}
+    done: set[int] = set()
+    heap = [(0.0, i)]
+    while heap:
+        d, v = heapq.heappop(heap)
+        if v in done:
+            continue
+        if v == j:
+            return d
+        done.add(v)
+        for w, e in adj[v]:
+            cost = forward[e.id - 1] if e.tail == v else backward[e.id - 1]
+            nd = d + cost
+            if w not in best or nd < best[w]:
+                best[w] = nd
+                heapq.heappush(heap, (nd, w))
+    raise ValidationError(f"no path between nodes {i} and {j}")
 
 
 def all_simple_paths(

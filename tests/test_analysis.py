@@ -98,6 +98,36 @@ def test_predict_eleven_node_variants(
     assert pred3.certificates["cycle_length"] == 4
 
 
+def test_boundary_tree_beyond_enumeration_size_gives_cluster_counts():
+    # a random positive linear tree on 30 nodes closed by an edge of weight
+    # -1/R_eff: the closing edge lies on exactly one cycle, the tree path
+    rng = np.random.default_rng(2030)
+    n = 30
+    parent = {v: int(rng.integers(1, v)) for v in range(2, n + 1)}
+    tree = tuple(Edge(v - 1, parent[v], v) for v in range(2, n + 1))
+    w = rng.uniform(0.5, 2.0, size=n - 1)
+    p, q = 4, 29
+
+    def ancestors(v):
+        line = [v]
+        while v != 1:
+            v = parent[v]
+            line.append(v)
+        return line
+
+    path_nodes = len(set(ancestors(p)) ^ set(ancestors(q))) + 1
+    r = effective_resistance(Graph(n, tree), w, p, q)
+    g = Graph(n, tree + (Edge(n, p, q),))
+    fns = [Linear(float(v)) for v in w] + [Linear(-1.0 / r)]
+    net = NetworkSystem(g, [Identity()] * n, fns)
+
+    pred = predict(net, COARSE, eq_samples=101)
+    assert pred.verdict is Verdict.CLUSTER_COUNT_PREDICTION
+    assert pred.applied_result == "single-cycle-cluster-count"
+    assert pred.cluster_counts == frozenset({1, path_nodes})
+    assert cluster_count_prediction(net, n, COARSE).counts == frozenset({1, path_nodes})
+
+
 def test_predict_cycle_separated_non_strict_edges():
     # two weak negative edges whose cycles share a node but no edge; the
     # per-edge equivalent condition applies to each separately

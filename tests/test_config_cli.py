@@ -1,14 +1,21 @@
 """Config parsing, validation diagnostics, and the command-line surface."""
 
+import contextlib
+import io
 import json
+import shutil
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from signet import cli
 from signet.config import load_config, parse_config
 from signet.edgefn import Negated, PowerSign, SampledTable
 from signet.errors import CapExceeded, ParseError, ValidationError
+
+from conftest import CONFIG_DIR
 
 MINIMAL = {
     "nodes": {"count": 2},
@@ -240,6 +247,31 @@ def test_cli_rejects_nan_edge_weight(tmp_path, capsys):
     assert not (tmp_path / "o" / "classification.csv").exists()
 
 
+@pytest.mark.parametrize("command", ["classify", "predict"])
+@pytest.mark.parametrize("half_width", ["inf", "nan", "1e200"])
+def test_cli_rejects_unusable_grid_half_width(tmp_path, capsys, command, half_width):
+    # 1e200 is finite, but the classifier squares the grid points
+    cfg = tmp_path / "net.json"
+    cfg.write_text(doc())
+    assert run_cli(command, "--config", cfg, "--out", tmp_path / "o",
+                   "--grid-n", half_width) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: InvalidGrid")
+
+
+@pytest.mark.parametrize("table", [
+    {"zeta": 5, "mu": [0.0]},
+    {"zeta": [-1.0, 0.0, 1.0], "mu": 5},
+    {"csv": 5},
+])
+def test_cli_rejects_malformed_sampled_table_fields(tmp_path, capsys, table):
+    cfg = tmp_path / "net.json"
+    cfg.write_text(doc(edges=[{"id": 1, "tail": 1, "head": 2,
+                               "fn": {"kind": "sampled_table", **table}}]))
+    assert run_cli("classify", "--config", cfg, "--out", tmp_path / "o") == 2
+    assert_one_line_validation_error(capsys)
+
+
 def test_cli_solver_failure_exit_code(tmp_path):
     # unbounded growth with the blowup guard parked at infinity overflows
     cfg = tmp_path / "grow.json"
@@ -268,3 +300,90 @@ def test_shipped_configs_all_parse(config_dir):
     for path in sorted(config_dir.glob("*.json")):
         cfg = load_config(path)
         cfg.build_system()
+
+
+SHIPPED = sorted(p.name for p in CONFIG_DIR.glob("*.json"))
+SMALL = [name for name in SHIPPED if name.startswith(("three_", "linear_", "six_"))]
+
+# Integers stay within +-1000 so that no mutation allocates millions of nodes.
+json_numbers = (
+    st.integers(-1000, 1000) | st.floats(-1e3, 1e3)
+    | st.sampled_from([0, 0.0, -0.0, 1e-300, 1e308, float("nan"), float("inf"), -float("inf")])
+)
+json_values = st.recursive(
+    st.none() | st.booleans() | st.text(max_size=4) | json_numbers,
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+def _locations(node, at=()):
+    """(key/index path, value) of every position in a JSON document."""
+    yield at, node
+    items = node.items() if isinstance(node, dict) else (
+        enumerate(node) if isinstance(node, list) else ())
+    for key, child in items:
+        yield from _locations(child, at + (key,))
+
+
+def _is_number(value):
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _mutate(document, data):
+    """One random edit in place: a new number, a negated number, a value of
+    another type, a dropped key or entry, or an added key."""
+    # Number edits are the likeliest to leave a config that still parses.
+    action = data.draw(st.sampled_from(
+        ["number"] * 3 + ["negate"] * 2 + ["retype", "drop", "add"]))
+    wanted = {"number": _is_number, "negate": _is_number,
+              "add": lambda v: isinstance(v, dict)}.get(action, lambda v: True)
+    spots = [at for at, value in _locations(document) if at and wanted(value)]
+    at = data.draw(st.sampled_from(spots))
+    parent = document
+    for key in at[:-1]:
+        parent = parent[key]
+    key = at[-1]
+    if action == "number":
+        parent[key] = data.draw(json_numbers)
+    elif action == "negate":
+        parent[key] = -parent[key]
+    elif action == "retype":
+        parent[key] = data.draw(json_values)
+    elif action == "drop":
+        del parent[key]
+    else:
+        parent[key][data.draw(st.sampled_from(["w", "kind", "band", "extra"]))] = (
+            data.draw(json_values))
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    """Scratch directory holding the shipped tables that configs refer to."""
+    root = tmp_path_factory.mktemp("fuzz")
+    for table in CONFIG_DIR.glob("*.csv"):
+        shutil.copy(table, root / table.name)
+    return root
+
+
+@given(data=st.data())
+@settings(max_examples=1200, deadline=None)
+def test_cli_exit_code_contract_under_mutated_configs(fuzz_dir, data):
+    name = data.draw(st.sampled_from(SHIPPED))
+    document = json.loads((CONFIG_DIR / name).read_text())
+    for _ in range(data.draw(st.integers(1, 2))):
+        _mutate(document, data)
+    cfg = fuzz_dir / "mutated.json"
+    cfg.write_text(json.dumps(document))
+    runs = [("classify",)]
+    if name in SMALL:
+        runs.append(("predict", "--grid-m", 101))
+    for args in runs:
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = run_cli(args[0], "--config", cfg, "--out", fuzz_dir / "out", *args[1:])
+        assert code in (0, 2, 3, 4)
+        if code:
+            assert err.getvalue().count("\n") == 1
+            assert err.getvalue().startswith("error: ")

@@ -18,7 +18,6 @@ from signet.edgefn import (
     Sinusoid,
     Sum,
     classify_sign,
-    equilibria,
     flip_conjugate,
     is_monotone_increasing,
     linear_coefficient,
@@ -151,18 +150,18 @@ def test_invalid_grids_rejected():
 
 
 def test_equilibria_examples():
-    iv = equilibria(DeadZone(1.0, 1.0))
+    iv = DeadZone(1.0, 1.0).equilibria()
     assert (iv.lower, iv.upper) == (-1.0, 1.0)
-    assert equilibria(Linear(0.5)).upper == 0.0
-    assert equilibria(PowerSign(1.0, 0.3)).lower == 0.0
-    whole = equilibria(Sum((Linear(1 / 3), Negated(Linear(1 / 3)))))
+    assert Linear(0.5).equilibria().upper == 0.0
+    assert PowerSign(1.0, 0.3).equilibria().lower == 0.0
+    whole = Sum((Linear(1 / 3), Negated(Linear(1 / 3)))).equilibria()
     assert whole.is_whole_line
     with pytest.raises(NotAnInterval):
-        equilibria(Sinusoid(1.0))
+        Sinusoid(1.0).equilibria()
 
 
 def test_equilibria_scan_refines_sum_of_dead_zones():
-    iv = equilibria(Sum((DeadZone(1.0, 1.0), DeadZone(1.0, 2.0))))
+    iv = Sum((DeadZone(1.0, 1.0), DeadZone(1.0, 2.0))).equilibria()
     assert iv.lower == pytest.approx(-1.0, abs=1e-8)
     assert iv.upper == pytest.approx(1.0, abs=1e-8)
 

@@ -1,10 +1,16 @@
 """Graph construction, incidence algebra, and path/cycle enumeration."""
 
 import itertools
+import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from signet.analysis import distance_bounds
+from signet.edgefn import Linear, SampledTable
 from signet.errors import CapExceeded, ValidationError
 from signet.graph import (
     Edge,
@@ -13,9 +19,11 @@ from signet.graph import (
     connected_components,
     cycle_indicator,
     cycles_through_edge,
+    edge_blocks,
     edge_subgraph,
     incidence,
     is_connected,
+    unique_cycle_through_edge,
 )
 
 
@@ -187,3 +195,97 @@ def test_edge_subgraph_remaps_ids_densely():
     assert id_map == {2: 1, 4: 2}
     assert [(e.id, e.tail, e.head) for e in sub.edges] == [(1, 2, 3), (2, 4, 1)]
     assert not is_connected(sub)
+
+
+def zero_band(lower, upper):
+    """Edge function vanishing exactly on [lower, upper] (or everywhere)."""
+    if lower == -math.inf:
+        return SampledTable((-1.0, 0.0, 1.0), (0.0, 0.0, 0.0))
+    if lower == upper == 0.0:
+        return Linear(1.0)
+    knots = sorted({lower - 1.0, lower, 0.0, upper, upper + 1.0})
+    return SampledTable(
+        tuple(knots), tuple(-1.0 if z < lower else 1.0 if z > upper else 0.0
+                            for z in knots)
+    )
+
+
+def enumerated_bracket(g, intervals, i, j):
+    """Tightest bracket over all simple paths, summed step by step."""
+    paths = all_simple_paths(g, i, j)
+    if not paths:
+        raise ValidationError(f"no path between nodes {i} and {j}")
+    z_min, z_max = -math.inf, math.inf
+    for path in paths:
+        lo = hi = 0.0
+        for step in path.steps:
+            iv = intervals[step.edge_id - 1]
+            if step.flip == 0:
+                lo += iv.lower
+                hi += iv.upper
+            else:
+                lo -= iv.upper
+                hi -= iv.lower
+        z_min, z_max = max(z_min, lo), min(z_max, hi)
+    return z_min, z_max
+
+
+@st.composite
+def multigraphs(draw):
+    """Up to 8 nodes, possibly disconnected, with parallel edges and random
+    orientations, each edge carrying a zero band that is a point, an
+    asymmetric or symmetric finite interval, or the whole line."""
+    n = draw(st.integers(1, 8))
+    ends = st.lists(st.integers(1, n), min_size=2, max_size=2, unique=True)
+    pairs = draw(st.lists(ends, max_size=12)) if n > 1 else []
+    g = Graph(n, tuple(Edge(k + 1, a, b) for k, (a, b) in enumerate(pairs)))
+    width = st.sampled_from([0.0, 0.1, 0.2, 0.3, 0.7, 1.0, 2.5]) | st.floats(0.0, 10.0)
+    band = st.just((-math.inf, math.inf)) | st.tuples(width.map(lambda w: -w), width)
+    fns = [zero_band(*draw(band)) for _ in pairs]
+    return g, fns
+
+
+@given(case=multigraphs())
+@settings(max_examples=300, deadline=None)
+def test_polynomial_queries_match_enumeration(case):
+    g, fns = case
+    labels = edge_blocks(g)
+    cycles = {e.id: cycles_through_edge(g, e.id) for e in g.edges}
+    for a, b in itertools.combinations(range(1, g.edge_count + 1), 2):
+        share = any(s.edge_id == b for c in cycles[a] for s in c.steps)
+        assert (labels[a - 1] == labels[b - 1]) == share
+    for k, found in cycles.items():
+        assert unique_cycle_through_edge(g, k) == (found[0] if len(found) == 1 else None)
+    # distance_bounds reads only the graph and the edge functions; a namespace
+    # lets disconnected graphs in.
+    system = SimpleNamespace(graph=g, edge_functions=fns)
+    intervals = [f.equilibria() for f in fns]
+    for i, j in itertools.product(range(1, g.node_count + 1), repeat=2):
+        try:
+            want = enumerated_bracket(g, intervals, i, j)
+        except ValidationError:
+            with pytest.raises(ValidationError):
+                distance_bounds(system, i, j)
+            continue
+        assert distance_bounds(system, i, j) == want
+
+
+def test_edge_blocks_on_long_ring_without_recursion():
+    n = 5000
+    g = Graph(n, tuple(Edge(k, k, k % n + 1) for k in range(1, n + 1)))
+    assert set(edge_blocks(g)) == {0}
+    cycle = unique_cycle_through_edge(g, 1)
+    assert cycle.node_count() == n
+    assert [s.edge_id for s in cycle.steps] == list(range(2, n + 1))
+
+
+def test_edge_blocks_separate_bridges_and_parallel_pairs():
+    # triangle 1-2-3, bridge 3-4, parallel pair 4-5
+    g = Graph(5, (Edge(1, 1, 2), Edge(2, 2, 3), Edge(3, 3, 1), Edge(4, 3, 4),
+                  Edge(5, 4, 5), Edge(6, 5, 4)))
+    labels = edge_blocks(g)
+    assert labels[0] == labels[1] == labels[2]
+    assert labels[4] == labels[5]
+    assert len({labels[0], labels[3], labels[4]}) == 3
+    assert unique_cycle_through_edge(g, 4) is None
+    assert unique_cycle_through_edge(g, 5).steps == ((6, 0),)
