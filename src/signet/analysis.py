@@ -33,7 +33,11 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import edgefn as ef
-from .circuit import EquivalentEdgeTable, equivalent_edge_function
+from .circuit import (
+    EquivalentEdgeTable,
+    edge_monotonicity,
+    equivalent_edge_function,
+)
 from .errors import Inapplicable, NonLinearEdges, NotAnInterval, ValidationError
 from .graph import (
     Graph,
@@ -91,8 +95,16 @@ class Prediction:
 def classify_edges(
     system: NetworkSystem, grid: ef.GridSpec
 ) -> tuple[ef.SignClass, ...]:
-    """Sign class of every edge function on the given grid."""
-    return tuple(ef.classify_sign(f, grid) for f in system.edge_functions)
+    """Sign class of every edge function on the given grid.
+
+    The network is classified one kind group at a time, in chunks of edges
+    whose block of grid values stays under a fixed cell budget
+    (``NetworkSystem.edge_chunks``); every edge gets exactly the class that
+    ``edgefn.classify_sign`` gives it alone.
+    """
+    return ef.classify_signs(
+        system.edge_chunks(grid.samples), system.edge_count, grid
+    )
 
 
 def positive_subnetwork(
@@ -236,10 +248,9 @@ def _predict_non_strict(
         positive_part, _ = positive_subnetwork(system, rest)
     except ValidationError:
         return None  # positive part disconnected: no equivalent function
-    grid = certificates["grid"]
-    for f in positive_part.edge_functions:
-        if not ef.is_monotone_increasing(f, grid).nondecreasing:
-            return None
+    monotone = edge_monotonicity(positive_part, certificates["grid"])
+    if not all(r.nondecreasing for r in monotone):
+        return None
     reports = {}
     for hat_id in non_strict:
         hat_edge = g.edge(hat_id)

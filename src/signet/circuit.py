@@ -79,6 +79,16 @@ def total_cocontent(system: NetworkSystem, zeta: np.ndarray) -> float:
     return float(system.cocontent(zeta).sum())
 
 
+def edge_monotonicity(
+    system: NetworkSystem, grid: ef.GridSpec
+) -> tuple[ef.MonotonicityReport, ...]:
+    """``edgefn.is_monotone_increasing`` of every edge function, evaluated
+    one kind group at a time in chunks of bounded size."""
+    return ef.monotonicity_reports(
+        system.edge_chunks(grid.samples), system.edge_count, grid
+    )
+
+
 def check_equivalent_edge_preconditions(
     system: NetworkSystem, grid: Optional[ef.GridSpec] = None
 ) -> None:
@@ -90,9 +100,8 @@ def check_equivalent_edge_preconditions(
     tensions may then be non-unique (the terminal flow stays unique while
     the objective is convex).
     """
-    grid = grid or ef.GridSpec(100.0, 401)
-    for e, f in zip(system.graph.edges, system.edge_functions):
-        report = ef.is_monotone_increasing(f, grid)
+    reports = edge_monotonicity(system, grid or ef.GridSpec(100.0, 401))
+    for e, report in zip(system.graph.edges, reports):
         if not report.nondecreasing:
             warnings.warn(
                 f"edge {e.id}: function is not monotone on the check grid; "

@@ -12,6 +12,12 @@ verification grid, strictly positive when zeta * psi(zeta) >= eps * zeta**2
 for some eps > 0, and mirrored for negative.  Classification is grid-based,
 not symbolic: arbitrary user functions admit no decision procedure, so every
 verdict records the grid it was checked on.
+
+The grid certificates (sign class and monotonicity) are reducers over
+chunks of functions: a network is checked one kind group at a time, in
+chunks of edges whose block of grid values has a bounded size, and a lone
+function is the one-chunk case.  A grid on which zeta * psi(zeta) or psi
+is not finite (huge parameters overflow) is rejected with ValidationError.
 """
 
 from __future__ import annotations
@@ -455,48 +461,103 @@ def classify_sign(f: EdgeFunction, grid: GridSpec) -> SignClass:
     Tests zeta * psi(zeta) over the grid: nonnegative everywhere gives
     positive, with a quadratic margin eps = min(zeta*psi/zeta**2) > 0
     upgrading to strictly positive; mirrored for negative; sign changes give
-    indefinite.  The verdict is advisory and records the grid used.
+    indefinite.  The verdict is advisory and records the grid used.  This
+    is the one-function case of ``classify_signs``.
     """
     grid.validate(min_samples=101)
     _check_vanishes_at_origin(f)
+    return classify_signs(_alone(f), 1, grid)[0]
+
+
+def _alone(f: EdgeFunction) -> list:
+    """The chunks of a single function: its one position, the function."""
+    return [(np.zeros(1, dtype=np.intp), f)]
+
+
+def _require_finite(finite: np.ndarray, what: str, grid: GridSpec) -> None:
+    """ValidationError naming the first function whose grid values overflow."""
+    bad = np.flatnonzero(~finite)
+    if bad.size:
+        raise ValidationError(
+            f"edge function {bad[0] + 1}: {what} is not finite on the grid "
+            f"over [-{grid.n:g}, {grid.n:g}]"
+        )
+
+
+# Sign labels in the order classify_signs decides them.
+_LABEL_ORDER = (
+    SignLabel.STRICTLY_POSITIVE,
+    SignLabel.POSITIVE,
+    SignLabel.STRICTLY_NEGATIVE,
+    SignLabel.NEGATIVE,
+    SignLabel.INDEFINITE,
+)
+
+
+@np.errstate(all="ignore")
+def classify_signs(chunks, count: int, grid: GridSpec) -> tuple[SignClass, ...]:
+    """``classify_sign`` of ``count`` edge functions, a chunk at a time.
+
+    ``chunks`` yields (positions, fn) pairs whose integer arrays of
+    positions cover 0 .. count - 1 once.  Called on the (1, samples) row of
+    grid points, fn gives a block with one row of values per position, or
+    one row standing for all of them.  The caller keeps blocks small.  Each
+    row gets the label, margin and witness that its function gets alone: a
+    first pass keeps the sign tests and the least and greatest
+    zeta*psi/zeta**2 of every row, and a second pass finds witnesses in the
+    chunks with a non-strict or indefinite row.  Raises ValidationError
+    when some zeta * psi(zeta) on the grid is not finite, which happens
+    when huge parameters overflow.
+    """
+    grid.validate(min_samples=101)
+    chunks = list(chunks)
     z = grid.points()
-    vals = f(z)
-    p = z * vals
     # Rounding guard: products within 1e-12 of zero (relative to zeta**2)
     # count as zero, so exact dead zones classify cleanly.
-    scale = 1.0 + z * z
-    zero = np.abs(p) <= 1e-12 * scale
+    tol = 1e-12 * (1.0 + z * z)
     off_origin = np.abs(z) > _ORIGIN_TOL
-    pos_ok = bool(np.all(p >= -1e-12 * scale))
-    neg_ok = bool(np.all(p <= 1e-12 * scale))
-
-    def margin_positive() -> float:
-        ratios = p[off_origin] / (z[off_origin] ** 2)
-        return float(ratios.min()) if ratios.size else 0.0
-
-    def margin_negative() -> float:
-        ratios = -p[off_origin] / (z[off_origin] ** 2)
-        return float(ratios.min()) if ratios.size else 0.0
-
-    if pos_ok and neg_ok:
-        # Identically zero on the grid: positive but as weak as possible.
-        return SignClass(SignLabel.POSITIVE, 0.0, float(z[-1]), grid)
-    if pos_ok:
-        eps = margin_positive()
-        if eps > 0.0:
-            return SignClass(SignLabel.STRICTLY_POSITIVE, eps, None, grid)
-        witness_idx = np.flatnonzero(zero & off_origin)
-        witness = float(z[witness_idx[0]]) if witness_idx.size else None
-        return SignClass(SignLabel.POSITIVE, 0.0, witness, grid)
-    if neg_ok:
-        eps = margin_negative()
-        if eps > 0.0:
-            return SignClass(SignLabel.STRICTLY_NEGATIVE, eps, None, grid)
-        witness_idx = np.flatnonzero(zero & off_origin)
-        witness = float(z[witness_idx[0]]) if witness_idx.size else None
-        return SignClass(SignLabel.NEGATIVE, 0.0, witness, grid)
-    witness = float(z[int(np.argmin(p))])
-    return SignClass(SignLabel.INDEFINITE, 0.0, witness, grid)
+    # zeta**2 off the origin and NaN on it, which fmin and fmax skip.
+    z_sq = np.where(off_origin, z**2, np.nan)
+    finite, pos_ok, neg_ok = (np.ones(count, dtype=bool) for _ in range(3))
+    # Least and greatest zeta*psi/zeta**2 off the origin (NaN when no grid
+    # point is): eps is the least, and the negative margin
+    # min(-zeta*psi/zeta**2) is exactly -greatest.
+    lo, hi = np.zeros(count), np.zeros(count)
+    for positions, fn in chunks:
+        p = z * fn(z[None, :])
+        finite[positions] = np.isfinite(p).all(axis=1)
+        pos_ok[positions] = (p >= -tol).all(axis=1)
+        neg_ok[positions] = (p <= tol).all(axis=1)
+        ratios = p / z_sq
+        lo[positions] = np.fmin.reduce(ratios, axis=1)
+        hi[positions] = np.fmax.reduce(ratios, axis=1)
+    _require_finite(finite, "zeta * psi(zeta)", grid)
+    strict_pos = pos_ok & ~neg_ok & (lo > 0.0)
+    strict_neg = neg_ok & ~pos_ok & (-hi > 0.0)
+    zero = pos_ok & neg_ok
+    mixed = ~(pos_ok | neg_ok)
+    # Witnesses as grid indices, -1 for none: the last point when psi is
+    # zero on the grid, the first zero product off the origin when the
+    # class is not strict, the first least product when it is indefinite.
+    witness = np.where(zero, z.size - 1, -1)
+    need = ~(zero | strict_pos | strict_neg)
+    for positions, fn in chunks:
+        rows = np.flatnonzero(need[positions])
+        if not rows.size:
+            continue
+        p = z * fn(z[None, :])
+        p = p[rows] if len(p) > 1 else p
+        hits = (np.abs(p) <= tol) & off_origin
+        first = np.where(hits.any(axis=1), hits.argmax(axis=1), -1)
+        at = positions[rows]
+        witness[at] = np.where(mixed[at], p.argmin(axis=1), first)
+    labels = np.select([strict_pos, pos_ok, strict_neg, neg_ok], [0, 1, 2, 3], 4)
+    margins = np.where(strict_pos, lo, np.where(strict_neg, -hi, 0.0))
+    points = z.tolist()
+    return tuple(
+        SignClass(_LABEL_ORDER[c], m, None if i < 0 else points[i], grid)
+        for c, m, i in zip(labels.tolist(), margins.tolist(), witness.tolist())
+    )
 
 
 def _equilibria_by_scan(
@@ -538,26 +599,50 @@ def _equilibria_by_scan(
 
 
 def is_monotone_increasing(f: EdgeFunction, grid: GridSpec) -> MonotonicityReport:
-    """Grid check that psi is nondecreasing, plus an unboundedness heuristic."""
+    """Grid check that psi is nondecreasing, plus an unboundedness heuristic.
+
+    The one-function case of ``monotonicity_reports``.
+    """
+    return monotonicity_reports(_alone(f), 1, grid)[0]
+
+
+@np.errstate(all="ignore")
+def monotonicity_reports(
+    chunks, count: int, grid: GridSpec
+) -> tuple[MonotonicityReport, ...]:
+    """``is_monotone_increasing`` of ``count`` edge functions, a chunk at a
+    time; ``chunks`` as for ``classify_signs``.  Raises ValidationError when
+    some psi(zeta) on the grid is not finite."""
     grid.validate(min_samples=101)
     z = grid.points()
-    vals = f(z)
-    diffs = np.diff(vals)
     steps = np.diff(z)
-    tol = 1e-12 * (1.0 + np.abs(vals[:-1]) + np.abs(vals[1:]))
-    nondecreasing = bool(np.all(diffs >= -tol))
-    strictly = bool(np.all(diffs > tol))
-    min_slope = float((diffs / steps).min()) if diffs.size else 0.0
     # Still climbing in the outer 10% of the grid and nonzero at the ends.
     k = max(1, grid.samples // 10)
-    right_grows = vals[-1] > vals[-1 - k] + _ZERO_TOL and vals[-1] > _ZERO_TOL
-    left_grows = vals[0] < vals[k] - _ZERO_TOL and vals[0] < -_ZERO_TOL
-    return MonotonicityReport(
-        nondecreasing=nondecreasing,
-        strictly=strictly,
-        min_slope=min_slope,
-        unbounded=bool(right_grows and left_grows),
-        grid=grid,
+    finite, nondecreasing, strictly, unbounded = (
+        np.ones(count, dtype=bool) for _ in range(4)
+    )
+    min_slope = np.zeros(count)
+    for positions, fn in chunks:
+        vals = fn(z[None, :])
+        finite[positions] = np.isfinite(vals).all(axis=1)
+        diffs = np.diff(vals, axis=1)
+        size = np.abs(vals)
+        tol = 1e-12 * (1.0 + size[:, :-1] + size[:, 1:])
+        nondecreasing[positions] = (diffs >= -tol).all(axis=1)
+        strictly[positions] = (diffs > tol).all(axis=1)
+        min_slope[positions] = (diffs / steps).min(axis=1)
+        first, last = vals[:, 0], vals[:, -1]
+        unbounded[positions] = (
+            (last > vals[:, -1 - k] + _ZERO_TOL) & (last > _ZERO_TOL)
+            & (first < vals[:, k] - _ZERO_TOL) & (first < -_ZERO_TOL)
+        )
+    _require_finite(finite, "psi(zeta)", grid)
+    return tuple(
+        MonotonicityReport(*row, grid)
+        for row in zip(
+            nondecreasing.tolist(), strictly.tolist(), min_slope.tolist(),
+            unbounded.tolist(),
+        )
     )
 
 

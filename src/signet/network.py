@@ -16,6 +16,12 @@ float parameters are arrays, so flow, cocontent, slope and the node drifts
 each cost one numpy call per group on arrays of shape (..., m) or (..., n).
 A single group covering every edge is called directly, without a gather
 and scatter.
+
+Grid certificates (sign classes, monotonicity) evaluate every edge on one
+shared row of tensions.  ``NetworkSystem.edge_chunks`` serves the groups
+for that in chunks of edges whose block of values stays under a fixed cell
+budget, with parameters stacked as columns so that each edge's row is
+computed exactly as the edge function alone computes it.
 """
 
 from __future__ import annotations
@@ -23,7 +29,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 from collections.abc import Hashable
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Iterator, Optional, Sequence, Union
 
 import numpy as np
 
@@ -31,6 +37,12 @@ from . import edgefn as ef
 from .errors import DimensionMismatch, ValidationError
 from .graph import Graph, is_connected
 from .nodes import NodeDynamics
+
+# Edges times tensions evaluated at once by the chunks of
+# NetworkSystem.edge_chunks, whatever the network: about 128 KiB per float
+# array, the size up to which glibc's default allocator serves memory from
+# its heap rather than from fresh pages.
+_CHUNK_CELLS = 1 << 14
 
 
 @functools.cache
@@ -62,17 +74,26 @@ def _kind_key(obj) -> Hashable:
     return obj if isinstance(obj, Hashable) else id(obj)
 
 
-def _stack(objs: Sequence) -> object:
+def _stack(objs: Sequence, column: bool = False) -> object:
     """One object of the common kind of objs whose float parameters are
-    arrays over objs, so its methods evaluate all of them at once."""
+    arrays over objs, so its methods evaluate all of them at once.
+
+    With ``column`` the arrays are (k, 1) columns: called on a row of
+    tensions the object gives one row per member, and numpy then runs each
+    row's loop with that member's parameter held fixed, as a call of the
+    member alone does (its power loop takes a square-root path for an
+    exponent of 0.5 only then).
+    """
     first = objs[0]
     if type(first) is ef.Negated and type(first.inner) is ef.SampledTable:
         # Negating the knot values is exact and saves a negation per call.
         return ef.SampledTable(first.inner.zetas, tuple(-m for m in first.inner.mus))
     if type(first) is ef.Negated:
-        return ef.Negated(_stack([o.inner for o in objs]))
+        return ef.Negated(_stack([o.inner for o in objs], column))
     if type(first) is ef.Sum:
-        return ef.Sum(tuple(_stack(ts) for ts in zip(*(o.terms for o in objs))))
+        return ef.Sum(
+            tuple(_stack(ts, column) for ts in zip(*(o.terms for o in objs)))
+        )
     names = _float_fields(type(first))
     if not names:
         return first
@@ -81,7 +102,7 @@ def _stack(objs: Sequence) -> object:
     stacked = object.__new__(type(first))
     for name in names:
         values = np.array([getattr(o, name) for o in objs], dtype=float)
-        object.__setattr__(stacked, name, values)
+        object.__setattr__(stacked, name, values[:, None] if column else values)
     return stacked
 
 
@@ -204,7 +225,7 @@ class NetworkSystem:
         self.tail.flags.writeable = False
         self.head.flags.writeable = False
         self._reduced: dict[tuple[int, int], ReducedLaplacian] = {}
-        edges = _group_by_kind(self.edge_functions)
+        self._edge_groups = edges = _group_by_kind(self.edge_functions)
         self._flow = _apply_by_kind(edges, "__call__")
         self._cocontent = _apply_by_kind(edges, "cocontent")
         self._slope = _apply_by_kind(edges, "derivative")
@@ -250,6 +271,30 @@ class NetworkSystem:
     def slope(self, zeta: np.ndarray) -> np.ndarray:
         """Per-edge derivative psi_k'(zeta_k); infinite at power-law kinks."""
         return self._slope(self._edge_array(zeta))
+
+    def edge_chunks(
+        self, samples: int
+    ) -> Iterator[tuple[np.ndarray, ef.EdgeFunction]]:
+        """(positions, function) chunks covering every edge once, for
+        evaluating the network on one shared row of ``samples`` tensions.
+
+        Called on a (1, samples) array, a chunk's function gives one row of
+        values per position, or one row standing for all of them when the
+        group's members are equal (sampled tables).  A chunk holds edges of
+        one kind, at most ``_CHUNK_CELLS // samples`` of them and at least
+        one, so no block grows with the edge count.
+        """
+        size = max(1, _CHUNK_CELLS // max(samples, 1))
+        ids = np.arange(self.edge_count)
+        for at, stacked in self._edge_groups:
+            positions = ids[at]
+            if np.ndim(stacked(0.0)) == 0:  # no array parameters
+                yield positions, stacked
+                continue
+            for start in range(0, positions.size, size):
+                part = positions[start : start + size]
+                members = [self.edge_functions[i] for i in part]
+                yield part, _stack(members, column=True)
 
     def input(self, mu: np.ndarray) -> np.ndarray:
         """u = -E mu: net flow into each node (in at heads, out at tails)."""

@@ -9,7 +9,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from signet.edgefn import DeadZone, Linear, Negated, PowerSign, SampledTable
+from signet.edgefn import (
+    DeadZone,
+    Linear,
+    MonotonicityReport,
+    Negated,
+    PowerSign,
+    SampledTable,
+    SignClass,
+    SignLabel,
+)
 from signet.graph import Edge, Graph
 from signet.network import NetworkSystem
 from signet.nodes import Identity
@@ -32,6 +41,81 @@ SIX_EDGES = [
     (6, 1, 3), (7, 2, 4), (8, 3, 5), (9, 2, 6),
 ]
 SIX_X0 = np.array([3, 1, -3, -1, 0, -2], dtype=float)
+
+
+# --- per-edge reference certificates -----------------------------------------
+# One grid check per function, as the library computed them before networks
+# were classified a kind group at a time: the oracle that the grouped
+# certificates must match exactly.
+
+
+def reference_sign_class(f, grid) -> SignClass:
+    grid.validate(min_samples=101)
+    z = grid.points()
+    vals = f(z)
+    p = z * vals
+    scale = 1.0 + z * z
+    zero = np.abs(p) <= 1e-12 * scale
+    off_origin = np.abs(z) > 1e-9
+    pos_ok = bool(np.all(p >= -1e-12 * scale))
+    neg_ok = bool(np.all(p <= 1e-12 * scale))
+
+    def margin_positive() -> float:
+        ratios = p[off_origin] / (z[off_origin] ** 2)
+        return float(ratios.min()) if ratios.size else 0.0
+
+    def margin_negative() -> float:
+        ratios = -p[off_origin] / (z[off_origin] ** 2)
+        return float(ratios.min()) if ratios.size else 0.0
+
+    if pos_ok and neg_ok:
+        return SignClass(SignLabel.POSITIVE, 0.0, float(z[-1]), grid)
+    if pos_ok:
+        eps = margin_positive()
+        if eps > 0.0:
+            return SignClass(SignLabel.STRICTLY_POSITIVE, eps, None, grid)
+        witness_idx = np.flatnonzero(zero & off_origin)
+        witness = float(z[witness_idx[0]]) if witness_idx.size else None
+        return SignClass(SignLabel.POSITIVE, 0.0, witness, grid)
+    if neg_ok:
+        eps = margin_negative()
+        if eps > 0.0:
+            return SignClass(SignLabel.STRICTLY_NEGATIVE, eps, None, grid)
+        witness_idx = np.flatnonzero(zero & off_origin)
+        witness = float(z[witness_idx[0]]) if witness_idx.size else None
+        return SignClass(SignLabel.NEGATIVE, 0.0, witness, grid)
+    witness = float(z[int(np.argmin(p))])
+    return SignClass(SignLabel.INDEFINITE, 0.0, witness, grid)
+
+
+def reference_monotonicity(f, grid) -> MonotonicityReport:
+    grid.validate(min_samples=101)
+    z = grid.points()
+    vals = f(z)
+    diffs = np.diff(vals)
+    steps = np.diff(z)
+    tol = 1e-12 * (1.0 + np.abs(vals[:-1]) + np.abs(vals[1:]))
+    nondecreasing = bool(np.all(diffs >= -tol))
+    strictly = bool(np.all(diffs > tol))
+    min_slope = float((diffs / steps).min()) if diffs.size else 0.0
+    k = max(1, grid.samples // 10)
+    right_grows = vals[-1] > vals[-1 - k] + 1e-12 and vals[-1] > 1e-12
+    left_grows = vals[0] < vals[k] - 1e-12 and vals[0] < -1e-12
+    return MonotonicityReport(
+        nondecreasing=nondecreasing,
+        strictly=strictly,
+        min_slope=min_slope,
+        unbounded=bool(right_grows and left_grows),
+        grid=grid,
+    )
+
+
+def reference_classify_edges(system, grid) -> tuple[SignClass, ...]:
+    return tuple(reference_sign_class(f, grid) for f in system.edge_functions)
+
+
+def reference_edge_monotonicity(system, grid) -> tuple[MonotonicityReport, ...]:
+    return tuple(reference_monotonicity(f, grid) for f in system.edge_functions)
 
 
 @pytest.fixture(scope="session")

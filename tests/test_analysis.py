@@ -1,7 +1,12 @@
 """Convergence predictors, distance bounds, and the linear eigen oracle."""
 
+import random
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from signet.analysis import (
     Verdict,
@@ -15,13 +20,27 @@ from signet.analysis import (
     signed_laplacian_min_eigenvalue,
     strict_extremum_violations,
 )
-from signet.circuit import effective_resistance
-from signet.edgefn import DeadZone, GridSpec, Linear, Negated, SampledTable
+from signet.circuit import edge_monotonicity, effective_resistance
+from signet.edgefn import (
+    DeadZone,
+    GridSpec,
+    Linear,
+    Negated,
+    PowerSign,
+    SampledTable,
+    SignLabel,
+    Sinusoid,
+    Sum,
+    classify_sign,
+    is_monotone_increasing,
+)
 from signet.errors import Inapplicable, NonLinearEdges, NotAnInterval
 from signet.graph import Edge, Graph
 from signet.network import NetworkSystem
 from signet.nodes import Identity
 from signet.sim import OutcomeKind, SimConfig, classify_outcome, simulate
+
+from conftest import reference_edge_monotonicity, reference_classify_edges
 
 GRID = GridSpec(100.0, 2001)
 COARSE = GridSpec(100.0, 401)
@@ -342,3 +361,122 @@ def test_final_differences_within_distance_bounds(
         for j in range(i + 1, 7):
             lo, hi = distance_bounds(six_clustering_network, i, j)
             assert lo - tol <= final[i - 1] - final[j - 1] <= hi + tol
+
+
+# --- grouped grid certificates against the per-edge reference ---------------
+
+# Increasing; flat on [-1, 1] (positive, not strict); changing sign
+# (indefinite).  Equal copies built apart group together.
+TABLE_KNOTS = (
+    ((-2.0, 0.0, 1.0, 4.0), (-1.0, 0.0, 2.0, 2.5)),
+    ((-3.0, -1.0, 1.0, 3.0), (-2.0, 0.0, 0.0, 2.0)),
+    ((-2.0, 0.0, 2.0, 5.0), (1.0, 0.0, -1.0, 3.0)),
+)
+_signed = st.floats(-5.0, 5.0)
+_leaf_kinds = (
+    st.builds(Linear, _signed),
+    # dead zones give non-strict classes with a witness
+    st.builds(DeadZone, _signed, st.floats(0.1, 3.0)),
+    # 0.5 takes numpy's square-root path when the exponent is held fixed
+    st.builds(PowerSign, _signed, st.just(0.5) | st.floats(0.1, 0.9)),
+    # sinusoids are indefinite, with an argmin witness
+    st.builds(Sinusoid, st.floats(-3.0, 3.0)),
+    st.sampled_from(TABLE_KNOTS).map(lambda knots: SampledTable(*knots)),
+)
+_leaves = st.one_of(*_leaf_kinds)
+_edge_fns = st.recursive(
+    _leaves,
+    lambda inner: st.builds(Negated, inner)
+    | st.lists(inner, min_size=1, max_size=3).map(lambda ts: Sum(tuple(ts))),
+    max_leaves=4,
+)
+# Grids: 101 points is the minimum; half-widths where the square root and
+# the power of 0.5 round apart, and one with no point off the origin.
+_grids = st.builds(
+    GridSpec,
+    st.sampled_from([100.0, 7.3, 1e-10]) | st.floats(0.5, 150.0),
+    st.sampled_from([101, 2001]) | st.integers(101, 2600),
+)
+
+
+@st.composite
+def certificate_networks(draw):
+    """Connected multigraphs with every edge kind, nested negations and
+    sums, and one kind repeated often enough to need several chunks."""
+    fns = [draw(kind) for kind in _leaf_kinds]
+    fns += [draw(st.builds(Negated, _edge_fns)),
+            draw(st.lists(_edge_fns, min_size=1, max_size=3).map(Sum))]
+    fns += draw(st.lists(_edge_fns, max_size=8))
+    bulk = draw(st.sampled_from(_leaf_kinds))
+    fns += draw(st.lists(bulk, max_size=30))
+    fns = draw(st.permutations(fns))
+    n = draw(st.integers(2, 6))
+    pairs = [(draw(st.integers(1, v - 1)), v) for v in range(2, n + 1)]
+    while len(pairs) < len(fns):
+        a, b = draw(st.lists(st.integers(1, n), min_size=2, max_size=2, unique=True))
+        pairs.append((a, b))
+    edges = tuple(Edge(k + 1, a, b) for k, (a, b) in enumerate(pairs))
+    return NetworkSystem(Graph(n, edges), [Identity()] * n, fns)
+
+
+@given(net=certificate_networks(), grid=_grids)
+@settings(max_examples=200, deadline=None)
+def test_grouped_certificates_equal_per_edge_reference(net, grid):
+    classes = classify_edges(net, grid)
+    reference = reference_classify_edges(net, grid)
+    assert classes == reference
+    assert tuple(classify_sign(f, grid) for f in net.edge_functions) == reference
+    reports = edge_monotonicity(net, grid)
+    reference = reference_edge_monotonicity(net, grid)
+    assert reports == reference
+    assert tuple(
+        is_monotone_increasing(f, grid) for f in net.edge_functions
+    ) == reference
+
+
+def _generated_network(edge_count: int, seed: int) -> NetworkSystem:
+    """A connected random multigraph on edge_count // 2 nodes whose edges
+    cycle through five kinds with random parameters."""
+    rng = random.Random(seed)
+    n = edge_count // 2
+    pairs = [(rng.randint(1, v - 1), v) for v in range(2, n + 1)]
+    pairs += [
+        tuple(rng.sample(range(1, n + 1), 2)) for _ in range(edge_count - n + 1)
+    ]
+    kinds = (
+        lambda: Linear(rng.uniform(-2.0, 2.0)),
+        lambda: PowerSign(
+            rng.uniform(0.5, 2.0), rng.choice([0.5, rng.uniform(0.1, 0.9)])
+        ),
+        lambda: DeadZone(rng.uniform(0.5, 2.0), rng.uniform(0.1, 2.0)),
+        lambda: Sinusoid(rng.uniform(-1.0, 1.0)),
+        lambda: Negated(Sum((Linear(rng.uniform(0.1, 1.0)), DeadZone(1.0, 1.0)))),
+    )
+    fns = [kinds[k % len(kinds)]() for k in range(edge_count)]
+    edges = tuple(Edge(k + 1, a, b) for k, (a, b) in enumerate(pairs))
+    return NetworkSystem(Graph(n, edges), [Identity()] * n, fns)
+
+
+def test_grouped_certificates_equal_reference_across_many_chunks():
+    # Five kind groups of 201 edges: several chunks per group even at the
+    # 101-point minimum, each group's last chunk only partly full.
+    net = _generated_network(1005, seed=3)
+    for grid in (GridSpec(100.0, 101), GridSpec(25.0, 2001)):
+        sizes = [len(at) for at, _ in net.edge_chunks(grid.samples)]
+        assert len(sizes) >= 10 and len(set(sizes)) == 2
+        assert classify_edges(net, grid) == reference_classify_edges(net, grid)
+        assert edge_monotonicity(net, grid) == reference_edge_monotonicity(net, grid)
+
+
+def test_classify_edges_memory_stays_bounded():
+    # One grid x edge array would be 2001 * 2000 * 8 bytes, 32 MB.
+    net = _generated_network(2000, seed=5)
+    tracemalloc.start()
+    try:
+        classes = classify_edges(net, GRID)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(classes) == 2000
+    assert {c.label for c in classes} >= {SignLabel.POSITIVE, SignLabel.INDEFINITE}
+    assert peak < 8 * 2**20

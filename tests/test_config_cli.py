@@ -4,18 +4,19 @@ import contextlib
 import io
 import json
 import shutil
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from signet import cli
+from signet import analysis, cli
 from signet.config import load_config, parse_config
-from signet.edgefn import Negated, PowerSign, SampledTable
+from signet.edgefn import GridSpec, Negated, PowerSign, SampledTable
 from signet.errors import CapExceeded, ParseError, ValidationError
 
-from conftest import CONFIG_DIR
+from conftest import CONFIG_DIR, reference_classify_edges, reference_edge_monotonicity
 
 MINIMAL = {
     "nodes": {"count": 2},
@@ -272,6 +273,21 @@ def test_cli_rejects_malformed_sampled_table_fields(tmp_path, capsys, table):
     assert_one_line_validation_error(capsys)
 
 
+@pytest.mark.parametrize("command", ["classify", "predict"])
+def test_cli_rejects_overflowing_edge_products(tmp_path, capsys, command):
+    # 1e308 * sqrt(100) overflows; no numpy warning may reach stderr
+    cfg = tmp_path / "huge.json"
+    cfg.write_text(doc(edges=[{"id": 1, "tail": 1, "head": 2,
+                               "fn": {"kind": "power_sign", "w": 1e308,
+                                      "alpha": 0.5}}]))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run_cli(command, "--config", cfg, "--out", tmp_path / "o") == 2
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    assert_one_line_validation_error(capsys)
+    assert not any((tmp_path / "o").glob("*.*"))
+
+
 def test_cli_solver_failure_exit_code(tmp_path):
     # unbounded growth with the blowup guard parked at infinity overflows
     cfg = tmp_path / "grow.json"
@@ -303,6 +319,45 @@ def test_shipped_configs_all_parse(config_dir):
 
 
 SHIPPED = sorted(p.name for p in CONFIG_DIR.glob("*.json"))
+
+
+@pytest.mark.parametrize("name", SHIPPED)
+def test_classify_and_predict_artifacts_match_per_edge_reference(
+    tmp_path, monkeypatch, name
+):
+    config = CONFIG_DIR / name
+    system = load_config(config).build_system()
+    for grid_m in (2001, 401):
+        out = tmp_path / f"classify{grid_m}"
+        assert run_cli("classify", "--config", config, "--out", out,
+                       "--grid-m", grid_m) == 0
+        classes = reference_classify_edges(system, GridSpec(100.0, grid_m))
+        rows = ["edge_id,label,margin,witness"] + [
+            f"{e.id},{c.label.value},{format(c.margin, '.17g')},"
+            + ("" if c.witness is None else format(c.witness, ".17g"))
+            for e, c in zip(system.graph.edges, classes)
+        ]
+        assert (out / "classification.csv").read_text() == "\n".join(rows) + "\n"
+
+    # Each equivalent-edge sweep runs once; the two predictions share it.
+    sweeps = {}
+    sweep = analysis.equivalent_edge_function
+
+    def sweep_once(part, p, q, *args, **kwargs):
+        if (p, q) not in sweeps:
+            sweeps[p, q] = sweep(part, p, q, *args, **kwargs)
+        return sweeps[p, q]
+
+    monkeypatch.setattr(analysis, "equivalent_edge_function", sweep_once)
+    grouped, per_edge = tmp_path / "grouped", tmp_path / "per_edge"
+    assert run_cli("predict", "--config", config, "--out", grouped,
+                   "--grid-m", 401) == 0
+    monkeypatch.setattr(analysis, "classify_edges", reference_classify_edges)
+    monkeypatch.setattr(analysis, "edge_monotonicity", reference_edge_monotonicity)
+    assert run_cli("predict", "--config", config, "--out", per_edge,
+                   "--grid-m", 401) == 0
+    text = (grouped / "prediction.txt").read_bytes()
+    assert text == (per_edge / "prediction.txt").read_bytes()
 SMALL = [name for name in SHIPPED if name.startswith(("three_", "linear_", "six_"))]
 
 # Integers stay within +-1000 so that no mutation allocates millions of nodes.
