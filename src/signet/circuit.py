@@ -37,6 +37,8 @@ from .network import NetworkSystem, ReducedLaplacian
 # pins those tensions, which is where their optimum sits anyway.
 _DERIV_CLAMP = 1e12
 _ARMIJO_C = 1e-4
+# Largest net flow at a free node of an accepted operating point.
+_GRAD_TOL = 1e-10
 _MAX_HALVINGS = 60
 
 
@@ -141,7 +143,6 @@ def solve_operating_point(
     p: int,
     q: int,
     zeta_pq: float,
-    grad_tol: float = 1e-10,
     max_iter: int = 10_000,
     warm_start: Optional[np.ndarray] = None,
     check_preconditions: bool = True,
@@ -150,7 +151,7 @@ def solve_operating_point(
 
     Minimizes the total cocontent over the free potentials with y_p pinned
     to zeta_pq and y_q grounded at 0.  At the returned point the net flow at
-    every free node is below grad_tol in infinity norm.
+    every free node is at most ``_GRAD_TOL`` in infinity norm.
 
     Raises NoConvergence when the iteration cap is hit.
     """
@@ -206,7 +207,7 @@ def solve_operating_point(
     if free.size:
         g_norm = float(np.max(np.abs(g)))
         for iterations in range(1, max_iter + 1):
-            if g_norm <= grad_tol:
+            if g_norm <= _GRAD_TOL:
                 break
             # Newton direction on the free block; the derivative clamp keeps
             # the system solvable when power-law slopes blow up at zero
@@ -259,7 +260,7 @@ def solve_operating_point(
                     break
                 step *= 0.5
             if not accepted:
-                if g_norm <= 1e1 * grad_tol:
+                if g_norm <= 1e1 * _GRAD_TOL:
                     break
                 raise NoConvergence(
                     f"line search stalled at zeta_pq = {zeta_pq:.6g}, "
@@ -316,15 +317,9 @@ class EquivalentEdgeTable:
     def __post_init__(self):
         z = np.asarray(self.zetas, dtype=float)
         m = np.asarray(self.mus, dtype=float)
-        if z.shape != m.shape or z.ndim != 1:
-            raise ValidationError("table columns must be 1-d and equal length")
-        if np.any(np.diff(z) <= 0):
-            raise ValidationError("table zeta values must be strictly increasing")
+        object.__setattr__(self, "_fn", ef.SampledTable(z, m))
         object.__setattr__(self, "zetas", z)
         object.__setattr__(self, "mus", m)
-        object.__setattr__(
-            self, "_fn", ef.SampledTable(tuple(z), tuple(m))
-        )
 
     def __call__(self, zeta: float) -> float:
         return self._fn(zeta)
@@ -342,7 +337,6 @@ def equivalent_edge_function(
     q: int,
     half_width: float = 100.0,
     samples: int = 2001,
-    grad_tol: float = 1e-10,
     check_preconditions: bool = True,
 ) -> EquivalentEdgeTable:
     """Sample the equivalent edge function over [-half_width, half_width].
@@ -364,29 +358,19 @@ def equivalent_edge_function(
     max_residual = 0.0
     degenerate = False
 
-    def record(i: int, op: OperatingPoint):
-        nonlocal max_residual, degenerate
-        mus[i] = op.terminal_flow
-        scale = float(
-            np.linalg.norm(op.mu_bar) * np.linalg.norm(op.zeta_bar)
-        )
-        residual = abs(float(op.mu_bar @ op.zeta_bar))
-        max_residual = max(max_residual, residual / scale if scale > 0 else residual)
-        degenerate = degenerate or op.degenerate
-
     def sweep(indices):
+        nonlocal max_residual, degenerate
         warm = None
         for i in indices:
             op = solve_operating_point(
-                system,
-                p,
-                q,
-                float(zetas[i]),
-                grad_tol=grad_tol,
-                warm_start=warm,
-                check_preconditions=False,
+                system, p, q, float(zetas[i]),
+                warm_start=warm, check_preconditions=False,
             )
-            record(i, op)
+            mus[i] = op.terminal_flow
+            scale = float(np.linalg.norm(op.mu_bar) * np.linalg.norm(op.zeta_bar))
+            relative = tellegen_residual(op) / (scale if scale > 0 else 1.0)
+            max_residual = max(max_residual, relative)
+            degenerate = degenerate or op.degenerate
             # The all-zero solution pins power-law edges at their kink, so
             # it makes a poor predictor; chain warm starts only off-center.
             warm = op.y if float(zetas[i]) != 0.0 else None

@@ -35,17 +35,25 @@ class EqfunSpec:
 
 @dataclass(frozen=True)
 class NetworkConfig:
-    node_count: int
+    """A parsed config; ``edge_functions`` follow ``graph.edges`` (id order)."""
+
+    graph: Graph
     dynamics: tuple[nd.NodeDynamics, ...]
-    edges: tuple[Edge, ...]
     edge_functions: tuple[ef.EdgeFunction, ...]
     sim: Optional[SimConfig]
     initial_state: Optional[np.ndarray]
     eqfun: Optional[EqfunSpec]
 
+    @property
+    def node_count(self) -> int:
+        return self.graph.node_count
+
+    @property
+    def edges(self) -> tuple[Edge, ...]:
+        return self.graph.edges
+
     def build_system(self) -> NetworkSystem:
-        graph = Graph(self.node_count, self.edges)
-        return NetworkSystem(graph, self.dynamics, self.edge_functions)
+        return NetworkSystem(self.graph, self.dynamics, self.edge_functions)
 
 
 def _require_keys(obj: dict, allowed: set[str], required: set[str], where: str):
@@ -195,7 +203,7 @@ def parse_config(text: str, base_dir: Optional[Path] = None) -> NetworkConfig:
     if not isinstance(doc["edges"], list) or not doc["edges"]:
         raise ValidationError("edges: expected a non-empty list")
     edges = []
-    fns = []
+    fns = {}
     for i, e in enumerate(doc["edges"]):
         where = f"edges[{i}]"
         _require_keys(e, {"id", "tail", "head", "fn"}, {"id", "tail", "head", "fn"}, where)
@@ -206,9 +214,9 @@ def parse_config(text: str, base_dir: Optional[Path] = None) -> NetworkConfig:
                 _integer(e["head"], where + ".head"),
             )
         )
-        fns.append(_edge_function(e["fn"], where + ".fn", base_dir))
-    # Construct the graph now so id/range violations surface with context.
-    Graph(count, tuple(edges))
+        fns[edges[-1].id] = _edge_function(e["fn"], where + ".fn", base_dir)
+    # The graph checks ids and ranges and sorts the edges by id.
+    graph = Graph(count, tuple(edges))
 
     sim_cfg = None
     if "sim" in doc:
@@ -258,10 +266,9 @@ def parse_config(text: str, base_dir: Optional[Path] = None) -> NetworkConfig:
                 raise ValidationError(f"eqfun terminal {v} out of range 1..{count}")
 
     return NetworkConfig(
-        node_count=count,
+        graph=graph,
         dynamics=dynamics,
-        edges=tuple(edges),
-        edge_functions=tuple(fns),
+        edge_functions=tuple(fns[e.id] for e in graph.edges),
         sim=sim_cfg,
         initial_state=initial_state,
         eqfun=eqfun_spec,

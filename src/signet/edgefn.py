@@ -18,6 +18,9 @@ chunks of functions: a network is checked one kind group at a time, in
 chunks of edges whose block of grid values has a bounded size, and a lone
 function is the one-chunk case.  A grid on which zeta * psi(zeta) or psi
 is not finite (huge parameters overflow) is rejected with ValidationError.
+
+Power laws raise through ``power``, so a lone function, a stacked kind group
+and a chunk of grid rows agree bit for bit.
 """
 
 from __future__ import annotations
@@ -25,7 +28,6 @@ from __future__ import annotations
 import csv
 import enum
 import math
-from bisect import bisect_right
 from dataclasses import dataclass, field, fields
 from typing import Optional, Union
 
@@ -38,6 +40,8 @@ from .errors import InvalidGrid, NotAnInterval, ValidationError
 _ORIGIN_TOL = 1e-9
 # |values| at or below this count as zero in grid scans.
 _ZERO_TOL = 1e-12
+_SCAN_HALF_WIDTH = 100.0
+_SCAN_SAMPLES = 8001
 
 # Argument and result of the elementwise methods of edge and node kinds.
 FloatOrArray = Union[float, np.ndarray]
@@ -136,6 +140,15 @@ class MonotonicityReport:
     min_slope: float
     unbounded: bool
     grid: GridSpec
+
+
+def power(base: FloatOrArray, exponent: FloatOrArray) -> FloatOrArray:
+    """base ** exponent through numpy's general power loop (0-d calls aside):
+    numpy takes an ulp-different square-root path for 0.5 when one exponent
+    value covers a loop, so an exponent shaped unlike the base is copied."""
+    if getattr(exponent, "shape", ()) != getattr(base, "shape", ()):
+        exponent = np.broadcast_to(exponent, np.broadcast(base, exponent).shape).copy()
+    return base ** exponent
 
 
 def check_finite_parameters(obj) -> None:
@@ -252,7 +265,7 @@ class PowerSign(EdgeFunction):
             )
 
     def __call__(self, zeta: FloatOrArray) -> FloatOrArray:
-        return np.copysign(np.abs(zeta) ** self.alpha, zeta) * self.w
+        return np.copysign(power(np.abs(zeta), self.alpha), zeta) * self.w
 
     def cocontent(self, zeta: FloatOrArray) -> FloatOrArray:
         return self.w / (1.0 + self.alpha) * np.abs(zeta) ** (1.0 + self.alpha)
@@ -375,10 +388,7 @@ class SampledTable(EdgeFunction):
         object.__setattr__(self, "_breaks", za[1:])
         object.__setattr__(self, "_knots", knots)
         object.__setattr__(self, "_zero_cocontent", float(self._integral(0.0)))
-        if abs(self(0.0)) > _ZERO_TOL:
-            raise ValidationError(
-                f"edge function must vanish at 0, table gives {self(0.0)!r}"
-            )
+        _check_vanishes_at_origin(self)
 
     def __call__(self, zeta: FloatOrArray) -> FloatOrArray:
         z, m, s, _ = self._knots
@@ -399,27 +409,7 @@ class SampledTable(EdgeFunction):
         return self._knots[2][self._breaks.searchsorted(zeta, side="right")]
 
     def equilibria(self) -> EquilibriaInterval:
-        vals = self.mus
-        zero = [abs(v) <= _ZERO_TOL for v in vals]
-        # Segment [zetas[i0], zetas[i0 + 1]] covering the origin.
-        i0 = min(bisect_right(self.zetas, 0.0), len(vals) - 1) - 1
-        # Grow the zero run outward from the segment containing the origin.
-        if not (zero[i0] or zero[i0 + 1]):
-            return EquilibriaInterval(0.0, 0.0)
-        lo = i0 if zero[i0] else i0 + 1
-        hi = i0 + 1 if zero[i0 + 1] else i0
-        while lo > 0 and zero[lo - 1]:
-            lo -= 1
-        while hi < len(vals) - 1 and zero[hi + 1]:
-            hi += 1
-        if all(zero):
-            return EquilibriaInterval(-math.inf, math.inf)
-        if any(zero[:lo]) or any(zero[hi + 1 :]):
-            raise NotAnInterval("table has zeros away from the origin run")
-        for a, b in zip(vals, vals[1:]):
-            if a * b < 0 and not (abs(a) <= _ZERO_TOL or abs(b) <= _ZERO_TOL):
-                raise NotAnInterval("table crosses zero away from the origin run")
-        return EquilibriaInterval(self.zetas[lo], self.zetas[hi])
+        return _zero_set(*self._knots[:2])
 
     def save_csv(self, dest) -> None:
         """Write the knots as ``zeta,mu`` CSV rows with 17 significant digits.
@@ -464,7 +454,6 @@ def classify_sign(f: EdgeFunction, grid: GridSpec) -> SignClass:
     indefinite.  The verdict is advisory and records the grid used.  This
     is the one-function case of ``classify_signs``.
     """
-    grid.validate(min_samples=101)
     _check_vanishes_at_origin(f)
     return classify_signs(_alone(f), 1, grid)[0]
 
@@ -560,27 +549,40 @@ def classify_signs(chunks, count: int, grid: GridSpec) -> tuple[SignClass, ...]:
     )
 
 
-def _equilibria_by_scan(
-    f: EdgeFunction, half_width: float = 100.0, samples: int = 8001
-) -> EquilibriaInterval:
-    z = np.linspace(-half_width, half_width, samples)
-    vals = f(z)
+def _zero_set(z: np.ndarray, vals: np.ndarray, refine=None) -> EquilibriaInterval:
+    """Zero interval around the origin of a function sampled at increasing z:
+    the zero samples must form one run holding a sample next to the origin,
+    and the sign may change only across it (across the origin's segment when
+    no sample is zero), else NotAnInterval.  An end of the run is its zero
+    sample, or ``refine(inside, outside)`` of its index and the next one."""
     zero = np.abs(vals) <= _ZERO_TOL
-    if np.all(zero):
+    at = np.flatnonzero(zero)
+    if at.size == vals.size:
         return EquilibriaInterval(-math.inf, math.inf)
-    center = samples // 2
-    if not zero[center]:
+    # The origin lies between samples left and left + 1.
+    left = min(int(z[1:].searchsorted(0.0, side="right")), z.size - 2)
+    if at.size:
+        lo, hi = int(at[0]), int(at[-1])
+        if hi - lo + 1 != at.size or not (lo <= left + 1 and left <= hi):
+            raise NotAnInterval("zero set is not a single interval around 0")
+        # Nonzero samples lo - 1 and lo sit on either side of the run.
+        left = lo - 1
+    if np.any(np.flatnonzero(np.diff(vals[~zero] > 0)) != left):
+        raise NotAnInterval("function changes sign away from the origin")
+    if not at.size:
         return EquilibriaInterval(0.0, 0.0)
-    lo = hi = center
-    while lo > 0 and zero[lo - 1]:
-        lo -= 1
-    while hi < samples - 1 and zero[hi + 1]:
-        hi += 1
-    if np.any(zero[:lo]) or np.any(zero[hi + 1 :]):
-        raise NotAnInterval("zero set is not a single interval around 0")
+    end = refine or (lambda inside, outside: float(z[inside]))
+    return EquilibriaInterval(end(lo, lo - 1), end(hi, hi + 1))
 
-    def refine(inside: float, outside: float) -> float:
+
+def _equilibria_by_scan(f: EdgeFunction) -> EquilibriaInterval:
+    z = np.linspace(-_SCAN_HALF_WIDTH, _SCAN_HALF_WIDTH, _SCAN_SAMPLES)
+
+    def refine(inside: int, outside: int) -> float:
         # Bisect the boundary between a zero of psi and a non-zero value.
+        if not 0 <= outside < z.size:
+            return float(z[inside])
+        inside, outside = float(z[inside]), float(z[outside])
         for _ in range(80):
             mid = 0.5 * (inside + outside)
             if abs(f(mid)) <= _ZERO_TOL:
@@ -589,13 +591,7 @@ def _equilibria_by_scan(
                 outside = mid
         return inside
 
-    lower = float(z[lo]) if lo == 0 else refine(float(z[lo]), float(z[lo - 1]))
-    upper = (
-        float(z[hi])
-        if hi == samples - 1
-        else refine(float(z[hi]), float(z[hi + 1]))
-    )
-    return EquilibriaInterval(lower, upper)
+    return _zero_set(z, f(z), refine)
 
 
 def is_monotone_increasing(f: EdgeFunction, grid: GridSpec) -> MonotonicityReport:

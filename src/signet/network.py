@@ -20,8 +20,8 @@ and scatter.
 Grid certificates (sign classes, monotonicity) evaluate every edge on one
 shared row of tensions.  ``NetworkSystem.edge_chunks`` serves the groups
 for that in chunks of edges whose block of values stays under a fixed cell
-budget, with parameters stacked as columns so that each edge's row is
-computed exactly as the edge function alone computes it.
+budget, with parameters stacked as columns, one row per edge: transposed
+(samples, k) blocks made classification about three times slower.
 """
 
 from __future__ import annotations
@@ -79,10 +79,7 @@ def _stack(objs: Sequence, column: bool = False) -> object:
     arrays over objs, so its methods evaluate all of them at once.
 
     With ``column`` the arrays are (k, 1) columns: called on a row of
-    tensions the object gives one row per member, and numpy then runs each
-    row's loop with that member's parameter held fixed, as a call of the
-    member alone does (its power loop takes a square-root path for an
-    exponent of 0.5 only then).
+    tensions the object gives one row per member.
     """
     first = objs[0]
     if type(first) is ef.Negated and type(first.inner) is ef.SampledTable:

@@ -18,7 +18,7 @@ from typing import Callable, Union
 import numpy as np
 
 from .errors import UnsupportedDynamics, ValidationError
-from .edgefn import GridSpec, FloatOrArray, check_finite_parameters
+from .edgefn import GridSpec, FloatOrArray, check_finite_parameters, power
 
 _SECTOR_EQ_TOL = 1e-12
 
@@ -65,7 +65,7 @@ class SignPower(NodeDynamics):
         self._assert_sector()
 
     def gamma(self, u: FloatOrArray) -> FloatOrArray:
-        return np.copysign(np.abs(u) ** self.beta, u) * self.c
+        return np.copysign(power(np.abs(u), self.beta), u) * self.c
 
 
 @dataclass(frozen=True)

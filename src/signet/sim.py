@@ -27,6 +27,11 @@ from .errors import (
 )
 from .network import NetworkSystem
 
+# Limits far above the largest shipped run (300 000 steps), so that a huge
+# t_end / dt fails validation instead of running for hours or filling memory.
+_MAX_STEPS = 10**8
+_MAX_ROWS = 10**6
+
 
 @dataclass(frozen=True)
 class SimConfig:
@@ -50,15 +55,26 @@ class SimConfig:
                 raise ValidationError(f"{name} must be finite")
         if not (self.t_end > 0 and self.dt > 0):
             raise ValidationError("t_end and dt must be positive")
-        if not math.isfinite(self.t_end / self.dt):
-            raise ValidationError("t_end / dt overflows the step count")
+        if not self.t_end / self.dt <= _MAX_STEPS:  # also when it overflows
+            raise ValidationError(
+                f"t_end / dt gives {self.t_end / self.dt:.6g} steps, over {_MAX_STEPS}"
+            )
         if not (self.dt < self.window):
             raise ValidationError("steadiness window must exceed the step size")
         if self.record_every < 1:
             raise ValidationError("record_every must be a positive integer")
+        # The initial state, every record_every-th step and the last one.
+        rows = 1 + -(-self.steps // self.record_every)
+        if rows > _MAX_ROWS:
+            raise ValidationError(f"the run records {rows} rows, over {_MAX_ROWS}")
         for name in ("u_tol", "blowup_threshold", "cluster_tol"):
             if not (getattr(self, name) > 0):
                 raise ValidationError(f"{name} must be positive")
+
+    @property
+    def steps(self) -> int:
+        """Number of RK4 steps to t_end."""
+        return int(round(self.t_end / self.dt))
 
 
 @dataclass(frozen=True)
@@ -114,7 +130,6 @@ def simulate(system: NetworkSystem, x0, cfg: SimConfig) -> Trajectory:
             f"initial state has shape {x.shape}, expected ({system.node_count},)"
         )
     dt = cfg.dt
-    n_steps = int(round(cfg.t_end / dt))
     n, tail, head = system.node_count, system.tail, system.head
     flow, gamma = system._flow, system._gamma
 
@@ -131,7 +146,7 @@ def simulate(system: NetworkSystem, x0, cfg: SimConfig) -> Trajectory:
     t = 0.0
     # Overflow to inf is caught by the explicit finiteness checks below.
     with np.errstate(over="ignore", invalid="ignore"):
-        for step in range(1, n_steps + 1):
+        for step in range(1, cfg.steps + 1):
             u, k1 = rhs(x)
             u_norm = float(np.abs(u).max())
             if not math.isfinite(u_norm):

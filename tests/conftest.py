@@ -4,6 +4,8 @@ The heavyweight artifacts (equivalent-edge sweeps, long simulations) are
 session-scoped so each is computed once; tests treat them as read-only.
 """
 
+import math
+from bisect import bisect_right
 from pathlib import Path
 
 import numpy as np
@@ -11,6 +13,7 @@ import pytest
 
 from signet.edgefn import (
     DeadZone,
+    EquilibriaInterval,
     Linear,
     MonotonicityReport,
     Negated,
@@ -19,6 +22,7 @@ from signet.edgefn import (
     SignClass,
     SignLabel,
 )
+from signet.errors import NotAnInterval
 from signet.graph import Edge, Graph
 from signet.network import NetworkSystem
 from signet.nodes import Identity
@@ -116,6 +120,72 @@ def reference_classify_edges(system, grid) -> tuple[SignClass, ...]:
 
 def reference_edge_monotonicity(system, grid) -> tuple[MonotonicityReport, ...]:
     return tuple(reference_monotonicity(f, grid) for f in system.edge_functions)
+
+
+# --- reference zero sets -----------------------------------------------------
+# The two zero-set routines as the library had them before they shared one:
+# the knot walk of a sampled table and the grid scan with bisection.  Both
+# grow the zero run around the origin and reject zeros elsewhere; only the
+# table checks for sign changes, and neither does so when no sample around
+# the origin is zero.  On functions whose only sign change is at the origin
+# they are right, and the shared routine must match them there.
+
+
+def reference_table_equilibria(table) -> EquilibriaInterval:
+    vals = table.mus
+    zero = [abs(v) <= 1e-12 for v in vals]
+    i0 = min(bisect_right(table.zetas, 0.0), len(vals) - 1) - 1
+    if not (zero[i0] or zero[i0 + 1]):
+        return EquilibriaInterval(0.0, 0.0)
+    lo = i0 if zero[i0] else i0 + 1
+    hi = i0 + 1 if zero[i0 + 1] else i0
+    while lo > 0 and zero[lo - 1]:
+        lo -= 1
+    while hi < len(vals) - 1 and zero[hi + 1]:
+        hi += 1
+    if all(zero):
+        return EquilibriaInterval(-math.inf, math.inf)
+    if any(zero[:lo]) or any(zero[hi + 1 :]):
+        raise NotAnInterval("table has zeros away from the origin run")
+    for a, b in zip(vals, vals[1:]):
+        if a * b < 0 and not (abs(a) <= 1e-12 or abs(b) <= 1e-12):
+            raise NotAnInterval("table crosses zero away from the origin run")
+    return EquilibriaInterval(table.zetas[lo], table.zetas[hi])
+
+
+def reference_scan_equilibria(f, half_width=100.0, samples=8001) -> EquilibriaInterval:
+    z = np.linspace(-half_width, half_width, samples)
+    vals = f(z)
+    zero = np.abs(vals) <= 1e-12
+    if np.all(zero):
+        return EquilibriaInterval(-math.inf, math.inf)
+    center = samples // 2
+    if not zero[center]:
+        return EquilibriaInterval(0.0, 0.0)
+    lo = hi = center
+    while lo > 0 and zero[lo - 1]:
+        lo -= 1
+    while hi < samples - 1 and zero[hi + 1]:
+        hi += 1
+    if np.any(zero[:lo]) or np.any(zero[hi + 1 :]):
+        raise NotAnInterval("zero set is not a single interval around 0")
+
+    def refine(inside: float, outside: float) -> float:
+        for _ in range(80):
+            mid = 0.5 * (inside + outside)
+            if abs(f(mid)) <= 1e-12:
+                inside = mid
+            else:
+                outside = mid
+        return inside
+
+    lower = float(z[lo]) if lo == 0 else refine(float(z[lo]), float(z[lo - 1]))
+    upper = (
+        float(z[hi])
+        if hi == samples - 1
+        else refine(float(z[hi]), float(z[hi + 1]))
+    )
+    return EquilibriaInterval(lower, upper)
 
 
 @pytest.fixture(scope="session")

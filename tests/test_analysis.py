@@ -218,12 +218,13 @@ def test_distance_bounds_respects_orientation():
 
 
 def test_distance_bounds_propagates_not_an_interval():
-    from signet.edgefn import Sinusoid
-
     g = Graph(2, (Edge(1, 1, 2),))
-    net = NetworkSystem(g, [Identity()] * 2, [Sinusoid(1.0)])
-    with pytest.raises(NotAnInterval):
-        distance_bounds(net, 1, 2)
+    # sin z + 0.1 z vanishes near +-3.5 as well as at the origin
+    for f in (Sinusoid(1.0), Sum((Sinusoid(1.0), Linear(0.1)))):
+        net = NetworkSystem(g, [Identity()] * 2, [f])
+        with pytest.raises(NotAnInterval):
+            distance_bounds(net, 1, 2)
+        assert equilibria_membership(net, np.zeros(1), 1e-3) == (None,)
 
 
 def test_cluster_count_prediction_eleven(eleven_f3_network):
@@ -377,7 +378,7 @@ _leaf_kinds = (
     st.builds(Linear, _signed),
     # dead zones give non-strict classes with a witness
     st.builds(DeadZone, _signed, st.floats(0.1, 3.0)),
-    # 0.5 takes numpy's square-root path when the exponent is held fixed
+    # numpy's square-root path for 0.5 would round apart from its general loop
     st.builds(PowerSign, _signed, st.just(0.5) | st.floats(0.1, 0.9)),
     # sinusoids are indefinite, with an argmin witness
     st.builds(Sinusoid, st.floats(-3.0, 3.0)),
@@ -432,6 +433,19 @@ def test_grouped_certificates_equal_per_edge_reference(net, grid):
     assert tuple(
         is_monotone_increasing(f, grid) for f in net.edge_functions
     ) == reference
+
+
+def test_power_chunk_certificates_equal_per_edge_reference():
+    # A chunk of three power edges with one exponent of 0.5: a (3, 1) column
+    # of exponents once took numpy's general power loop while a lone edge
+    # took its square-root path, an ulp apart at some grid points.
+    fns = [PowerSign(1.0, 0.5), PowerSign(2.0, 0.3), PowerSign(1.5, 0.7)]
+    edges = tuple(Edge(k, k, k + 1) for k in (1, 2, 3))
+    net = NetworkSystem(Graph(4, edges), [Identity()] * 4, fns)
+    grid = GridSpec(1.0, 101)
+    assert edge_monotonicity(net, grid) == reference_edge_monotonicity(net, grid)
+    grid = GridSpec(8.7, 101)
+    assert classify_edges(net, grid) == reference_classify_edges(net, grid)
 
 
 def _generated_network(edge_count: int, seed: int) -> NetworkSystem:

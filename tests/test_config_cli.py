@@ -15,6 +15,7 @@ from signet import analysis, cli
 from signet.config import load_config, parse_config
 from signet.edgefn import GridSpec, Negated, PowerSign, SampledTable
 from signet.errors import CapExceeded, ParseError, ValidationError
+from signet.sim import SimConfig
 
 from conftest import CONFIG_DIR, reference_classify_edges, reference_edge_monotonicity
 
@@ -48,6 +49,23 @@ def test_eleven_node_config_parses(config_dir):
     assert alphas == [0.4, 0.5, 0.2, 0.8, 0.4, 0.4, 0.5, 0.5, 0.5, 0.6, 0.8, 0.2, 0.5]
     assert isinstance(cfg.edge_functions[13], Negated)
     assert all(isinstance(f, PowerSign) for f in cfg.edge_functions[:13])
+
+
+def test_config_keeps_its_validated_graph():
+    cfg = parse_config(doc())
+    assert cfg.build_system().graph is cfg.graph
+    assert (cfg.node_count, cfg.edges) == (cfg.graph.node_count, cfg.graph.edges)
+
+
+def test_edges_listed_out_of_id_order_keep_their_functions():
+    listed = [
+        {"id": 2, "tail": 2, "head": 3, "fn": {"kind": "linear", "w": 5.0}},
+        {"id": 1, "tail": 1, "head": 2, "fn": {"kind": "linear", "w": -1.0}},
+    ]
+    system = parse_config(doc(nodes={"count": 3}, edges=listed)).build_system()
+    by_id = {e.id: (e.tail, e.head) for e in system.graph.edges}
+    assert by_id == {1: (1, 2), 2: (2, 3)}
+    assert [f.w for f in system.edge_functions] == [-1.0, 5.0]
 
 
 def test_edge_referencing_missing_node_rejected():
@@ -236,6 +254,23 @@ def test_cli_rejects_infinite_t_end(tmp_path, capsys):
     assert run_cli("simulate", "--config", cfg, "--out", tmp_path / "o") == 2
     assert_one_line_validation_error(capsys)
     assert not (tmp_path / "o" / "outcome.txt").exists()
+
+
+@pytest.mark.parametrize("sim", [
+    {"t_end": 1e6, "dt": 1e-3},  # 1e9 steps
+    {"t_end": 1e4, "dt": 1e-3, "record_every": 1},  # 1e7 recorded rows
+])
+def test_cli_rejects_oversized_runs_while_parsing(tmp_path, capsys, sim):
+    # Validation only: stop here rather than start such a run if the
+    # limits are missing; the CLI must fail while parsing the config.
+    with pytest.raises(ValidationError):
+        SimConfig(**sim)
+    cfg = tmp_path / "long.json"
+    cfg.write_text(doc(sim=sim, initial_state=[1.0, -1.0]))
+    for command in ("simulate", "classify"):
+        assert run_cli(command, "--config", cfg, "--out", tmp_path / "o") == 2
+        assert_one_line_validation_error(capsys)
+    assert not (tmp_path / "o").exists()
 
 
 def test_cli_rejects_nan_edge_weight(tmp_path, capsys):

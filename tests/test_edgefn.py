@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from signet.edgefn import (
     DeadZone,
+    EdgeFunction,
     GridSpec,
     Linear,
     Negated,
@@ -21,9 +22,12 @@ from signet.edgefn import (
     flip_conjugate,
     is_monotone_increasing,
     linear_coefficient,
+    power,
 )
 from signet.errors import InvalidGrid, NotAnInterval, ValidationError
 from signet.nodes import Saturating, SignPower
+
+from conftest import reference_scan_equilibria, reference_table_equilibria
 
 GRID = GridSpec(10.0, 1001)
 
@@ -160,6 +164,30 @@ def test_equilibria_examples():
         Sinusoid(1.0).equilibria()
 
 
+class Shifted(EdgeFunction):
+    """z - 5: not an edge function, as it misses the origin, but equilibria
+    is defined for any function."""
+
+    def __call__(self, zeta):
+        return zeta - 5.0
+
+
+@pytest.mark.parametrize(
+    "f",
+    [
+        # sin z + 0.1 z also vanishes near +-3.5 and +-8.4
+        Sum((Sinusoid(1.0), Linear(0.1))),
+        # no knot is zero, and the table changes sign near +-2 as well
+        SampledTable((-3.0, -1.0, 1.0, 3.0), (1.0, -1.0, 1.0, -1.0)),
+        # one zero, at a grid sample away from the origin
+        Shifted(),
+    ],
+)
+def test_equilibria_reject_sign_changes_away_from_origin(f):
+    with pytest.raises(NotAnInterval):
+        f.equilibria()
+
+
 def test_equilibria_scan_refines_sum_of_dead_zones():
     iv = Sum((DeadZone(1.0, 1.0), DeadZone(1.0, 2.0))).equilibria()
     assert iv.lower == pytest.approx(-1.0, abs=1e-8)
@@ -219,6 +247,85 @@ def test_sampled_table_equilibria_run():
     t = SampledTable((-3.0, -1.0, 0.0, 1.0, 3.0), (-2.0, 0.0, 0.0, 0.0, 2.0))
     iv = t.equilibria()
     assert (iv.lower, iv.upper) == (-1.0, 1.0)
+
+
+_magnitudes = st.floats(0.01, 5.0)
+_signs = st.sampled_from([-1.0, 1.0])
+# Zero samples: exact zeros and values inside the 1e-12 zero tolerance.
+_zero_values = st.sampled_from([0.0, -0.0, 1e-13, -5e-13])
+
+
+@st.composite
+def origin_crossing_tables(draw):
+    """Tables whose zero knots form one run at the origin and whose other
+    knots take one sign left of the run and one right of it."""
+    left = sorted(set(draw(st.lists(st.floats(-5.0, -0.1), min_size=1, max_size=4))))
+    right = sorted(set(draw(st.lists(st.floats(0.1, 5.0), min_size=1, max_size=4))))
+    origin = draw(st.booleans())
+    # Zero knots next to the origin on each side.  Without a knot at 0 the
+    # table vanishes there only if both neighbours are zero or neither is.
+    run_left = draw(st.integers(0, len(left)))
+    run_right = draw(st.integers(0, len(right)))
+    crossing = not origin and (run_left == 0 or run_right == 0)
+    if crossing:
+        run_left = run_right = 0
+    sign_left = draw(_signs)
+    sign_right = -sign_left if crossing else draw(_signs)
+    mus = [sign_left * draw(_magnitudes) for _ in range(len(left) - run_left)]
+    mus += [draw(_zero_values) for _ in range(run_left + origin + run_right)]
+    mus += [sign_right * draw(_magnitudes) for _ in range(len(right) - run_right)]
+    if crossing:
+        # The segment across the origin interpolates to 0 there.
+        mus[len(left)] = mus[len(left) - 1] * right[0] / left[-1]
+    return SampledTable(tuple(left + [0.0] * origin + right), tuple(mus))
+
+
+_nondecreasing_terms = st.one_of(
+    st.builds(Linear, st.floats(0.0, 3.0)),
+    # bands beyond the scan's half-width of 100 zero the whole grid
+    st.builds(DeadZone, st.floats(0.0, 3.0), st.floats(0.1, 120.0)),
+    st.builds(PowerSign, st.floats(0.0, 3.0), st.floats(0.1, 0.9)),
+    # a sinusoid under a steeper line keeps the sum increasing
+    st.floats(-2.0, 2.0).flatmap(
+        lambda a: st.floats(abs(a) + 0.05, 4.0).map(
+            lambda w: Sum((Sinusoid(a), Linear(w)))
+        )
+    ),
+)
+
+
+@st.composite
+def origin_crossing_sums(draw):
+    """Sums of odd nondecreasing terms, possibly negated: every zero lies in
+    one interval around the origin, and the sign changes only across it."""
+    f = Sum(tuple(draw(st.lists(_nondecreasing_terms, min_size=1, max_size=3))))
+    return Sum((Negated(f),)) if draw(st.booleans()) else f
+
+
+@given(table=origin_crossing_tables(), f=origin_crossing_sums())
+@settings(max_examples=200, deadline=None)
+def test_zero_set_matches_former_routines(table, f):
+    assert table.equilibria() == reference_table_equilibria(table)
+    assert f.equilibria() == reference_scan_equilibria(f)
+
+
+@pytest.mark.parametrize("alpha", [0.5, 0.3])
+def test_power_agrees_across_layouts(alpha):
+    # numpy's square-root path for 0.5 differs from its general power loop
+    # by an ulp at some of these points; power must never take it.
+    z = np.abs(np.linspace(-3.0, 3.0, 2001))
+    expected = z ** np.full(z.size, alpha)
+    rows = [
+        power(z, alpha),
+        power(z, np.full(z.size, alpha)),
+        power(z[:, None], np.array([alpha]))[:, 0],
+        PowerSign(1.0, alpha)(z),
+    ]
+    for k in (1, 2, 3, 5):
+        rows += list(power(z[None, :], np.full((k, 1), alpha)))
+        rows += list(power(np.tile(z[:, None], (1, k)), np.full(k, alpha)).T)
+    for row in rows:
+        assert np.array_equal(row, expected)
 
 
 def test_linear_coefficient_resolves_nesting():

@@ -79,6 +79,19 @@ def test_sim_config_rejects_non_finite_parameters():
     assert SimConfig(t_end=1.0, blowup_threshold=float("inf")).blowup_threshold > 0
 
 
+def test_sim_config_bounds_steps_and_recorded_rows():
+    # Validation only; none of these configs is run.
+    with pytest.raises(ValidationError, match="steps"):
+        SimConfig(t_end=1e5 + 1.0, dt=1e-3, record_every=1000)
+    with pytest.raises(ValidationError, match="rows"):
+        SimConfig(t_end=1e3 + 1.0, dt=1e-3, record_every=1)
+    # At the limits: 1e8 steps, and 1e6 rows with the initial state.
+    assert SimConfig(t_end=1e5, dt=1e-3, record_every=1000).steps == 10**8
+    assert SimConfig(t_end=1e3 - 1e-3, dt=1e-3, record_every=1).steps == 10**6 - 1
+    # The largest shipped run, 300 000 steps, is far inside both limits.
+    assert SimConfig(t_end=600.0, dt=2e-3, record_every=100).steps == 300_000
+
+
 def test_non_finite_state_raises():
     net = linear_pair(w=-1.0)
     cfg = SimConfig(
