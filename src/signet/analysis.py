@@ -17,8 +17,9 @@ The graph queries behind these verdicts and behind ``distance_bounds`` run
 in polynomial time (biconnected blocks and shortest paths, see
 ``signet.graph``); path and cycle enumeration serves only as a test oracle.
 
-All passivity tests are grid tests with recorded grids; verdicts are
-certificates over the grid, not symbolic proofs.  Failure of every
+All passivity tests are grid tests on the one recorded grid that ``predict``
+is given, equivalent-edge sweeps included; verdicts are certificates over
+the grid, not symbolic proofs.  Failure of every
 hypothesis yields NoGuarantee, never a divergence claim: the sufficient
 conditions say nothing about what happens when they fail (the linear
 eigenvalue oracle is the exception, and is exposed separately).
@@ -121,22 +122,18 @@ def equivalent_passivity_condition(
     psi_hat: ef.EdgeFunction,
     p: int,
     q: int,
-    half_width: float = 100.0,
-    samples: int = 2001,
+    grid: ef.GridSpec,
     table: Optional[EquivalentEdgeTable] = None,
 ) -> PassivityConditionReport:
     """Test passivity of psi_hat plus the two-terminal equivalent function.
 
     The equivalent edge function of the remaining network between p and q is
-    sampled over [-half_width, half_width]; the report carries the margin
-    curve s(z) = (psi_hat(z) + equivalent(z)) * z on that grid.  Passing a
-    precomputed ``table`` (for the same network and terminals) skips the
-    sweep.
+    sampled on the grid; the report carries the margin curve
+    s(z) = (psi_hat(z) + equivalent(z)) * z there.  Passing a precomputed
+    ``table`` (for the same network and terminals) skips the sweep.
     """
     if table is None:
-        table = equivalent_edge_function(
-            positive_part, p, q, half_width, samples, check_preconditions=False
-        )
+        table = equivalent_edge_function(positive_part, p, q, grid)
     zetas = table.zetas
     margin = (psi_hat(zetas) + table.mus) * zetas
     # Scale-aware tolerance: solver residue in the sampled flows enters the
@@ -177,21 +174,15 @@ def cluster_count_prediction(
     return CycleClusterCount(frozenset({1, cycle.node_count()}), cycle)
 
 
-def predict(
-    system: NetworkSystem,
-    grid: Optional[ef.GridSpec] = None,
-    eq_half_width: float = 100.0,
-    eq_samples: int = 2001,
-) -> Prediction:
+def predict(system: NetworkSystem, grid: ef.GridSpec) -> Prediction:
     """Strongest applicable convergence verdict with certificates.
 
     Dispatch order: spanning strictly positive subnetwork (agreement), a
     single non-strict edge with the equivalent-passivity test (agreement
     when strict; cluster counts when a unique cycle exists), all edges
     positive (convergence), several cycle-separated non-strict edges, and
-    otherwise NoGuarantee.
+    otherwise NoGuarantee.  Classes and sweeps share the grid.
     """
-    grid = grid or ef.GridSpec(100.0, 2001)
     classes = classify_edges(system, grid)
     certificates: dict = {"sign_classes": classes, "grid": grid}
     sp_ids = [
@@ -213,9 +204,7 @@ def predict(
     non_strict = [e.id for e in system.graph.edges if e.id not in sp_set]
 
     if len(non_strict) == 1 or not all_positive:
-        verdict = _predict_non_strict(
-            system, non_strict, certificates, eq_half_width, eq_samples
-        )
+        verdict = _predict_non_strict(system, non_strict, certificates)
         if verdict is not None:
             return verdict
 
@@ -226,9 +215,7 @@ def predict(
     return Prediction(Verdict.NO_GUARANTEE, "none", None, certificates)
 
 
-def _predict_non_strict(
-    system, non_strict, certificates, eq_half_width, eq_samples
-):
+def _predict_non_strict(system, non_strict, certificates):
     """Equivalent passivity of non-strict edges no two of which share a cycle.
 
     Returns None when the test does not apply: two of the edges share a
@@ -256,7 +243,7 @@ def _predict_non_strict(
         hat_edge = g.edge(hat_id)
         report = equivalent_passivity_condition(
             positive_part, system.edge_functions[hat_id - 1],
-            hat_edge.tail, hat_edge.head, eq_half_width, eq_samples,
+            hat_edge.tail, hat_edge.head, certificates["grid"],
         )
         reports[hat_id] = report
         if not report.holds:

@@ -40,6 +40,7 @@ _ARMIJO_C = 1e-4
 # Largest net flow at a free node of an accepted operating point.
 _GRAD_TOL = 1e-10
 _MAX_HALVINGS = 60
+_MAX_ITER = 10_000
 
 
 @dataclass(frozen=True)
@@ -91,18 +92,16 @@ def edge_monotonicity(
     )
 
 
-def check_equivalent_edge_preconditions(
-    system: NetworkSystem, grid: Optional[ef.GridSpec] = None
-) -> None:
+def check_equivalent_edge_preconditions(system: NetworkSystem) -> None:
     """Warn when the uniqueness conditions for operating points look violated.
 
     Existence and uniqueness are guaranteed for strictly increasing edge
-    functions whose flow grows without bound.  The check is advisory: the
-    minimizer is still returned for merely nondecreasing edges, but interior
-    tensions may then be non-unique (the terminal flow stays unique while
-    the objective is convex).
+    functions whose flow grows without bound.  The check is advisory (only
+    ``signet eqfun`` makes it): the minimizer is still returned for merely
+    nondecreasing edges, but interior tensions may then be non-unique (the
+    terminal flow stays unique while the objective is convex).
     """
-    reports = edge_monotonicity(system, grid or ef.GridSpec(100.0, 401))
+    reports = edge_monotonicity(system, ef.GridSpec(samples=401))
     for e, report in zip(system.graph.edges, reports):
         if not report.nondecreasing:
             warnings.warn(
@@ -143,9 +142,7 @@ def solve_operating_point(
     p: int,
     q: int,
     zeta_pq: float,
-    max_iter: int = 10_000,
     warm_start: Optional[np.ndarray] = None,
-    check_preconditions: bool = True,
 ) -> OperatingPoint:
     """Operating point of the two-terminal network at a given terminal tension.
 
@@ -153,7 +150,7 @@ def solve_operating_point(
     to zeta_pq and y_q grounded at 0.  At the returned point the net flow at
     every free node is at most ``_GRAD_TOL`` in infinity norm.
 
-    Raises NoConvergence when the iteration cap is hit.
+    Raises NoConvergence after ``_MAX_ITER`` iterations.
     """
     graph = system.graph
     for v in (p, q):
@@ -161,8 +158,6 @@ def solve_operating_point(
             raise ValidationError(f"terminal {v} out of range")
     if p == q:
         raise ValidationError("terminals must be distinct nodes")
-    if check_preconditions:
-        check_equivalent_edge_preconditions(system)
 
     block = system.reduced_laplacian(p, q)
     free = block.free
@@ -206,7 +201,7 @@ def solve_operating_point(
     g = outflow[free]
     if free.size:
         g_norm = float(np.max(np.abs(g)))
-        for iterations in range(1, max_iter + 1):
+        for iterations in range(1, _MAX_ITER + 1):
             if g_norm <= _GRAD_TOL:
                 break
             # Newton direction on the free block; the derivative clamp keeps
@@ -271,7 +266,7 @@ def solve_operating_point(
             g_norm = g_try_norm
         else:
             raise NoConvergence(
-                f"no operating point after {max_iter} iterations at "
+                f"no operating point after {_MAX_ITER} iterations at "
                 f"zeta_pq = {zeta_pq:.6g}"
             )
         # Degeneracy flag: singular Hessian at the solution means interior
@@ -332,29 +327,19 @@ class EquivalentEdgeTable:
 
 
 def equivalent_edge_function(
-    system: NetworkSystem,
-    p: int,
-    q: int,
-    half_width: float = 100.0,
-    samples: int = 2001,
-    check_preconditions: bool = True,
+    system: NetworkSystem, p: int, q: int, grid: ef.GridSpec
 ) -> EquivalentEdgeTable:
-    """Sample the equivalent edge function over [-half_width, half_width].
+    """Sample the equivalent edge function at the grid's terminal tensions.
 
-    For each of ``samples`` uniformly spaced terminal tensions (odd count, so
-    zero is sampled exactly) the operating point is solved and the terminal
-    flow recorded.  Sweeps outward from zero, warm-starting each solve with
-    its neighbor, so the table is deterministic and cheap.
+    For each of the grid's samples (odd count, at least 3, so zero is
+    sampled exactly) the operating point is solved and the terminal flow
+    recorded.  Sweeps outward from zero, warm-starting each solve with its
+    neighbor, so the table is deterministic and cheap.
     """
-    if samples < 3 or samples % 2 == 0:
-        raise ValidationError("sample count must be odd and at least 3")
-    if not (half_width > 0):
-        raise ValidationError("sampling half-width must be positive")
-    if check_preconditions:
-        check_equivalent_edge_preconditions(system)
-    zetas = np.linspace(-half_width, half_width, samples)
-    mus = np.zeros(samples)
-    mid = samples // 2
+    grid.validate(min_samples=3, odd=True)
+    zetas = grid.points()
+    mus = np.zeros(grid.samples)
+    mid = grid.samples // 2
     max_residual = 0.0
     degenerate = False
 
@@ -362,10 +347,7 @@ def equivalent_edge_function(
         nonlocal max_residual, degenerate
         warm = None
         for i in indices:
-            op = solve_operating_point(
-                system, p, q, float(zetas[i]),
-                warm_start=warm, check_preconditions=False,
-            )
+            op = solve_operating_point(system, p, q, float(zetas[i]), warm)
             mus[i] = op.terminal_flow
             scale = float(np.linalg.norm(op.mu_bar) * np.linalg.norm(op.zeta_bar))
             relative = tellegen_residual(op) / (scale if scale > 0 else 1.0)
@@ -376,7 +358,7 @@ def equivalent_edge_function(
             warm = op.y if float(zetas[i]) != 0.0 else None
 
     try:
-        sweep(range(mid, samples))
+        sweep(range(mid, grid.samples))
         sweep(range(mid, -1, -1))
     except NoConvergence as exc:
         raise NoConvergence(f"equivalent edge sweep failed: {exc}") from exc

@@ -2,7 +2,10 @@
 
 Every command reads a JSON config and writes its artifacts into the output
 directory.  Outputs are deterministic: identical inputs produce
-byte-identical files.  Exit codes: 0 success, 2 validation error, 3 solver
+byte-identical files.  ``classify`` and ``predict`` classify, and
+``predict`` sweeps, on the ``--grid-n``/``--grid-m`` grid (``GridSpec()`` by
+default); ``eqfun`` sweeps the config's grid and alone warns of non-unique
+operating points.  Exit codes: 0 success, 2 validation error, 3 solver
 failure, 4 enumeration cap exceeded (kept for the library's enumeration
 routines; no command enumerates paths, so none reaches it).
 """
@@ -86,12 +89,9 @@ def _cmd_eqfun(cfg: NetworkConfig, out: Path, grid: GridSpec) -> None:
     if cfg.eqfun is None:
         raise ValidationError("eqfun command needs an 'eqfun' section")
     system = cfg.build_system()
+    circuit.check_equivalent_edge_preconditions(system)
     table = circuit.equivalent_edge_function(
-        system,
-        cfg.eqfun.p,
-        cfg.eqfun.q,
-        cfg.eqfun.half_width,
-        cfg.eqfun.samples,
+        system, cfg.eqfun.p, cfg.eqfun.q, cfg.eqfun.grid
     )
     with open(out / "eqfun.csv", "w", newline="") as fh:
         table.save_csv(fh)
@@ -99,9 +99,7 @@ def _cmd_eqfun(cfg: NetworkConfig, out: Path, grid: GridSpec) -> None:
 
 def _cmd_predict(cfg: NetworkConfig, out: Path, grid: GridSpec) -> None:
     system = cfg.build_system()
-    pred = analysis.predict(
-        system, grid, eq_half_width=grid.n, eq_samples=grid.samples
-    )
+    pred = analysis.predict(system, grid)
     lines = [
         f"verdict: {pred.verdict.value}",
         f"applied_result: {pred.applied_result}",
@@ -153,12 +151,12 @@ def main(argv=None) -> int:
         cmd.add_argument("--config", required=True, help="JSON network config")
         cmd.add_argument("--out", required=True, help="output directory")
         cmd.add_argument(
-            "--grid-n", type=float, default=100.0,
-            help="half-width of classification/sampling grids (default 100)",
+            "--grid-n", type=float, default=GridSpec.n,
+            help=f"half-width of classification/sweep grids (default {GridSpec.n:g})",
         )
         cmd.add_argument(
-            "--grid-m", type=int, default=2001,
-            help="number of grid samples (default 2001)",
+            "--grid-m", type=int, default=GridSpec.samples,
+            help=f"number of grid samples (default {GridSpec.samples})",
         )
     args = parser.parse_args(argv)
 

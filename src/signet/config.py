@@ -3,15 +3,21 @@
 The document has five sections: ``nodes`` (count plus optional per-node
 dynamics), ``edges`` (id/tail/head plus an edge-function spec), optional
 ``sim`` (integration parameters), optional ``initial_state``, and optional
-``eqfun`` (terminal pair and sampling for the equivalent edge function).
-Unknown keys are rejected everywhere so typos fail loudly.
+``eqfun`` (terminal pair and sampling grid for the equivalent edge
+function).  Unknown keys are rejected everywhere so typos fail loudly.
+
+The analytic edge kinds, the node kinds, ``sim`` and ``eqfun`` take their
+keys, types, defaults and checks (finiteness included) from the dataclass
+each builds.  Edge functions nest at most ``_MAX_NESTING`` levels deep.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
-from dataclasses import dataclass
+from collections.abc import Set
+from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 from typing import Optional
 
@@ -19,18 +25,37 @@ import numpy as np
 
 from . import edgefn as ef
 from . import nodes as nd
+from .edgefn import GridSpec
 from .errors import ParseError, ValidationError
 from .graph import Edge, Graph
 from .network import NetworkSystem
 from .sim import SimConfig
 
+_EDGE_KINDS = {"linear": ef.Linear, "dead_zone": ef.DeadZone,
+               "power_sign": ef.PowerSign, "sinusoid": ef.Sinusoid}
+_NODE_KINDS = {"identity": nd.Identity, "sign_power": nd.SignPower,
+               "saturating": nd.Saturating}
+# Deeper edge functions would exhaust the interpreter's stack when the
+# network is built; the shipped configs nest 2 levels.
+_MAX_NESTING = 32
+_EDGE_KEYS = frozenset({"id", "tail", "head", "fn"})
+
 
 @dataclass(frozen=True)
 class EqfunSpec:
+    """Terminals and sweep grid (odd, at least 3 samples) of ``signet eqfun``."""
+
     p: int
     q: int
-    half_width: float = 100.0
-    samples: int = 2001
+    n: float = GridSpec.n
+    samples: int = GridSpec.samples
+
+    def __post_init__(self):
+        self.grid.validate(min_samples=3, odd=True)
+
+    @property
+    def grid(self) -> GridSpec:
+        return GridSpec(self.n, self.samples)
 
 
 @dataclass(frozen=True)
@@ -56,9 +81,11 @@ class NetworkConfig:
         return NetworkSystem(self.graph, self.dynamics, self.edge_functions)
 
 
-def _require_keys(obj: dict, allowed: set[str], required: set[str], where: str):
+def _require_keys(obj: dict, allowed: Set[str], required: Set[str], where: str):
     if not isinstance(obj, dict):
         raise ValidationError(f"{where}: expected an object")
+    if obj.keys() <= allowed and required <= obj.keys():
+        return
     unknown = set(obj) - allowed
     if unknown:
         raise ValidationError(f"{where}: unknown keys {sorted(unknown)}")
@@ -67,17 +94,21 @@ def _require_keys(obj: dict, allowed: set[str], required: set[str], where: str):
         raise ValidationError(f"{where}: missing keys {sorted(missing)}")
 
 
-def _number(obj, where: str, allow_inf: bool = False) -> float:
-    """A finite number; ``allow_inf`` also admits +inf (a disabled bound)."""
+def _number(obj, where: str) -> float:
+    """A JSON number as a float, +-inf beyond the float range."""
     if isinstance(obj, bool) or not isinstance(obj, (int, float)):
         raise ValidationError(f"{where}: expected a number, got {obj!r}")
     try:
-        value = float(obj)
+        return float(obj)
     except OverflowError:
-        value = math.inf if obj > 0 else -math.inf
-    if not (math.isfinite(value) or (allow_inf and value == math.inf)):
-        raise ValidationError(f"{where}: expected a finite number, got {obj!r}")
-    return value
+        return math.inf if obj > 0 else -math.inf
+
+
+def _numbers(obj, where: str) -> np.ndarray:
+    """A JSON list of numbers as a float array."""
+    if not isinstance(obj, list):
+        raise ValidationError(f"{where}: expected a list of numbers")
+    return np.array([_number(v, f"{where}[{i}]") for i, v in enumerate(obj)])
 
 
 def _integer(obj, where: str) -> int:
@@ -86,82 +117,73 @@ def _integer(obj, where: str) -> int:
     return obj
 
 
-def _edge_function(spec, where: str, base_dir: Optional[Path]) -> ef.EdgeFunction:
-    if not isinstance(spec, dict) or "kind" not in spec:
-        raise ValidationError(f"{where}: edge function needs a 'kind'")
-    kind = spec["kind"]
+@functools.cache
+def _schema(cls: type, keyed: bool) -> tuple[dict, frozenset, frozenset]:
+    """Readers of a dataclass's fields by name, and the keys a spec of it
+    allows and needs (with a 'kind' when ``keyed``)."""
+    readers = {"float": _number, "int": _integer}
+    kind = frozenset({"kind"} if keyed else ())
+    return (
+        {f.name: readers[f.type] for f in fields(cls)},
+        kind.union(f.name for f in fields(cls)),
+        kind.union(f.name for f in fields(cls) if f.default is MISSING),
+    )
+
+
+def _build(cls: type, spec, where: str, keyed: bool = False):
+    """The dataclass ``cls`` built from a JSON object of its fields."""
+    readers, allowed, required = _schema(cls, keyed)
+    _require_keys(spec, allowed, required, where)
     try:
-        if kind == "linear":
-            _require_keys(spec, {"kind", "w"}, {"w"}, where)
-            return ef.Linear(_number(spec["w"], where))
-        if kind == "dead_zone":
-            _require_keys(spec, {"kind", "w", "band"}, {"w"}, where)
-            return ef.DeadZone(
-                _number(spec["w"], where),
-                _number(spec.get("band", 1.0), where),
+        return cls(**{k: readers[k](v, k) for k, v in spec.items() if k != "kind"})
+    except ValidationError as exc:
+        raise type(exc)(f"{where}: {exc}") from exc
+
+
+def _edge_function(
+    spec, where: str, base_dir: Optional[Path], depth: int = 1
+) -> ef.EdgeFunction:
+    if depth > _MAX_NESTING:
+        raise ValidationError(f"{where}: nested more than {_MAX_NESTING} levels deep")
+    kind = spec.get("kind") if isinstance(spec, dict) else None
+    if isinstance(kind, str) and kind in _EDGE_KINDS:
+        return _build(_EDGE_KINDS[kind], spec, where, keyed=True)
+    if kind == "negated":
+        _require_keys(spec, {"kind", "fn"}, {"fn"}, where)
+        return ef.Negated(
+            _edge_function(spec["fn"], where + ".fn", base_dir, depth + 1)
+        )
+    if kind == "sum":
+        _require_keys(spec, {"kind", "terms"}, {"terms"}, where)
+        if not isinstance(spec["terms"], list) or not spec["terms"]:
+            raise ValidationError(f"{where}: 'terms' must be a non-empty list")
+        return ef.Sum(
+            tuple(
+                _edge_function(t, f"{where}.terms[{i}]", base_dir, depth + 1)
+                for i, t in enumerate(spec["terms"])
             )
-        if kind == "power_sign":
-            _require_keys(spec, {"kind", "w", "alpha"}, {"w", "alpha"}, where)
-            return ef.PowerSign(
-                _number(spec["w"], where), _number(spec["alpha"], where)
-            )
-        if kind == "sinusoid":
-            _require_keys(spec, {"kind", "a"}, {"a"}, where)
-            return ef.Sinusoid(_number(spec["a"], where))
-        if kind == "negated":
-            _require_keys(spec, {"kind", "fn"}, {"fn"}, where)
-            return ef.Negated(_edge_function(spec["fn"], where + ".fn", base_dir))
-        if kind == "sum":
-            _require_keys(spec, {"kind", "terms"}, {"terms"}, where)
-            if not isinstance(spec["terms"], list) or not spec["terms"]:
-                raise ValidationError(f"{where}: 'terms' must be a non-empty list")
-            return ef.Sum(
-                tuple(
-                    _edge_function(t, f"{where}.terms[{i}]", base_dir)
-                    for i, t in enumerate(spec["terms"])
-                )
-            )
-        if kind == "sampled_table":
-            _require_keys(spec, {"kind", "csv", "zeta", "mu"}, set(), where)
-            if "csv" in spec:
-                if not isinstance(spec["csv"], str):
-                    raise ValidationError(f"{where}: 'csv' must be a path string")
-                path = Path(spec["csv"])
-                if not path.is_absolute() and base_dir is not None:
-                    path = base_dir / path
-                return ef.SampledTable.load_csv(path)
-            if "zeta" not in spec or "mu" not in spec:
-                raise ValidationError(
-                    f"{where}: sampled_table needs 'csv' or 'zeta'+'mu'"
-                )
-            for key in ("zeta", "mu"):
-                if not isinstance(spec[key], list):
-                    raise ValidationError(f"{where}: '{key}' must be a list")
+        )
+    if kind == "sampled_table":
+        _require_keys(spec, {"kind", "csv", "zeta", "mu"}, set(), where)
+        if "csv" not in spec:
             return ef.SampledTable(
-                tuple(_number(v, where) for v in spec["zeta"]),
-                tuple(_number(v, where) for v in spec["mu"]),
+                _numbers(spec.get("zeta"), where + ".zeta"),
+                _numbers(spec.get("mu"), where + ".mu"),
             )
-    except ValidationError:
-        raise
-    except OSError as exc:
-        raise ValidationError(f"{where}: {exc}") from exc
+        if not isinstance(spec["csv"], str):
+            raise ValidationError(f"{where}: 'csv' must be a path string")
+        path = Path(spec["csv"])
+        if not path.is_absolute() and base_dir is not None:
+            path = base_dir / path
+        return ef.SampledTable.load_csv(path)
     raise ValidationError(f"{where}: unknown edge function kind {kind!r}")
 
 
 def _dynamics(spec, where: str) -> nd.NodeDynamics:
-    if not isinstance(spec, dict) or "kind" not in spec:
-        raise ValidationError(f"{where}: node dynamics need a 'kind'")
-    kind = spec["kind"]
-    if kind == "identity":
-        _require_keys(spec, {"kind"}, set(), where)
-        return nd.Identity()
-    if kind == "sign_power":
-        _require_keys(spec, {"kind", "c", "beta"}, {"c", "beta"}, where)
-        return nd.SignPower(_number(spec["c"], where), _number(spec["beta"], where))
-    if kind == "saturating":
-        _require_keys(spec, {"kind", "c", "s"}, {"c", "s"}, where)
-        return nd.Saturating(_number(spec["c"], where), _number(spec["s"], where))
-    raise ValidationError(f"{where}: unknown dynamics kind {kind!r}")
+    kind = spec.get("kind") if isinstance(spec, dict) else None
+    if not (isinstance(kind, str) and kind in _NODE_KINDS):
+        raise ValidationError(f"{where}: unknown dynamics kind {kind!r}")
+    return _build(_NODE_KINDS[kind], spec, where, keyed=True)
 
 
 def parse_config(text: str, base_dir: Optional[Path] = None) -> NetworkConfig:
@@ -176,6 +198,8 @@ def parse_config(text: str, base_dir: Optional[Path] = None) -> NetworkConfig:
         raise ParseError(
             f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
+    except RecursionError as exc:
+        raise ParseError("JSON nested too deeply to read") from exc
     _require_keys(
         doc,
         {"nodes", "edges", "sim", "initial_state", "eqfun"},
@@ -206,7 +230,7 @@ def parse_config(text: str, base_dir: Optional[Path] = None) -> NetworkConfig:
     fns = {}
     for i, e in enumerate(doc["edges"]):
         where = f"edges[{i}]"
-        _require_keys(e, {"id", "tail", "head", "fn"}, {"id", "tail", "head", "fn"}, where)
+        _require_keys(e, _EDGE_KEYS, _EDGE_KEYS, where)
         edges.append(
             Edge(
                 _integer(e["id"], where + ".id"),
@@ -218,49 +242,17 @@ def parse_config(text: str, base_dir: Optional[Path] = None) -> NetworkConfig:
     # The graph checks ids and ranges and sorts the edges by id.
     graph = Graph(count, tuple(edges))
 
-    sim_cfg = None
-    if "sim" in doc:
-        sec = doc["sim"]
-        _require_keys(
-            sec,
-            {"t_end", "dt", "record_every", "u_tol", "window",
-             "blowup_threshold", "cluster_tol"},
-            {"t_end"},
-            "sim",
-        )
-        kwargs = {"t_end": _number(sec["t_end"], "sim.t_end")}
-        for key in ("dt", "u_tol", "window", "blowup_threshold", "cluster_tol"):
-            if key in sec:
-                kwargs[key] = _number(
-                    sec[key], f"sim.{key}", allow_inf=key == "blowup_threshold"
-                )
-        if "record_every" in sec:
-            kwargs["record_every"] = _integer(sec["record_every"], "sim.record_every")
-        sim_cfg = SimConfig(**kwargs)
+    sim_cfg = _build(SimConfig, doc["sim"], "sim") if "sim" in doc else None
 
     initial_state = None
     if "initial_state" in doc:
-        vec = doc["initial_state"]
-        if not isinstance(vec, list):
-            raise ValidationError("initial_state: expected a list of numbers")
-        initial_state = np.array(
-            [_number(v, f"initial_state[{i}]") for i, v in enumerate(vec)]
-        )
-        if initial_state.shape != (count,):
-            raise ValidationError(
-                f"initial_state has {initial_state.size} entries for {count} nodes"
-            )
+        initial_state = _numbers(doc["initial_state"], "initial_state")
+        if initial_state.shape != (count,) or not np.isfinite(initial_state).all():
+            raise ValidationError(f"initial_state: expected {count} finite numbers")
 
     eqfun_spec = None
     if "eqfun" in doc:
-        sec = doc["eqfun"]
-        _require_keys(sec, {"p", "q", "n", "samples"}, {"p", "q"}, "eqfun")
-        eqfun_spec = EqfunSpec(
-            p=_integer(sec["p"], "eqfun.p"),
-            q=_integer(sec["q"], "eqfun.q"),
-            half_width=_number(sec.get("n", 100.0), "eqfun.n"),
-            samples=_integer(sec.get("samples", 2001), "eqfun.samples"),
-        )
+        eqfun_spec = _build(EqfunSpec, doc["eqfun"], "eqfun")
         for v in (eqfun_spec.p, eqfun_spec.q):
             if not (1 <= v <= count):
                 raise ValidationError(f"eqfun terminal {v} out of range 1..{count}")

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import csv
 import enum
+import functools
 import math
 from dataclasses import dataclass, field, fields
 from typing import Optional, Union
@@ -40,8 +41,6 @@ from .errors import InvalidGrid, NotAnInterval, ValidationError
 _ORIGIN_TOL = 1e-9
 # |values| at or below this count as zero in grid scans.
 _ZERO_TOL = 1e-12
-_SCAN_HALF_WIDTH = 100.0
-_SCAN_SAMPLES = 8001
 
 # Argument and result of the elementwise methods of edge and node kinds.
 FloatOrArray = Union[float, np.ndarray]
@@ -49,25 +48,31 @@ FloatOrArray = Union[float, np.ndarray]
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Symmetric verification grid: ``samples`` points over [-n, n]."""
+    """Symmetric grid: ``samples`` points over [-n, n]; defaults for all grids."""
 
     n: float = 100.0
     samples: int = 2001
 
-    def validate(self, min_samples: int = 101) -> None:
-        # The classifier squares grid points, so n * n must stay finite too.
+    def validate(self, min_samples: int = 101, odd: bool = False) -> None:
+        # Certificates and margins square grid points, so n * n must stay
+        # finite too; a sweep needs an odd count, to sample zero exactly.
         if not (self.n > 0 and math.isfinite(self.n * self.n)):
             raise InvalidGrid(
                 f"grid half-width must be positive and its square finite, "
                 f"got {self.n}"
             )
-        if self.samples < min_samples:
+        if self.samples < min_samples or (odd and self.samples % 2 == 0):
             raise InvalidGrid(
-                f"grid needs at least {min_samples} samples, got {self.samples}"
+                f"grid needs {'an odd count of ' if odd else ''}at least "
+                f"{min_samples} samples, got {self.samples}"
             )
 
     def points(self) -> np.ndarray:
         return np.linspace(-self.n, self.n, self.samples)
+
+
+# Where an edge function without a closed-form zero set is scanned for zeros.
+_SCAN = GridSpec(samples=8001)
 
 
 class SignLabel(enum.Enum):
@@ -151,9 +156,13 @@ def power(base: FloatOrArray, exponent: FloatOrArray) -> FloatOrArray:
     return base ** exponent
 
 
+# The fields of a dataclass kind, looked up once per kind.
+_kind_fields = functools.cache(fields)
+
+
 def check_finite_parameters(obj) -> None:
     """Raise ValidationError when a float field of a dataclass is NaN or inf."""
-    for f in fields(obj):
+    for f in _kind_fields(type(obj)):
         value = getattr(obj, f.name)
         if isinstance(value, float) and not math.isfinite(value):
             raise ValidationError(
@@ -342,6 +351,11 @@ class Sum(EdgeFunction):
     def derivative(self, zeta: FloatOrArray) -> FloatOrArray:
         return sum(t.derivative(zeta) for t in self.terms)
 
+    def equilibria(self) -> EquilibriaInterval:
+        # A sum of linear maps is one; the scan cannot see past its ends.
+        w = linear_coefficient(self)
+        return _equilibria_by_scan(self) if w is None else Linear(w).equilibria()
+
 
 @dataclass(frozen=True)
 class SampledTable(EdgeFunction):
@@ -426,17 +440,19 @@ class SampledTable(EdgeFunction):
 
     @classmethod
     def load_csv(cls, path) -> "SampledTable":
+        """ValidationError when the file cannot be read as ``zeta,mu`` rows."""
         zetas, mus = [], []
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header is None or [h.strip() for h in header[:2]] != ["zeta", "mu"]:
-                raise ValidationError(f"{path}: expected header 'zeta,mu'")
-            for row in reader:
-                if not row:
-                    continue
-                zetas.append(float(row[0]))
-                mus.append(float(row[1]))
+        try:
+            with open(path, newline="") as fh:
+                reader = csv.reader(fh)
+                header = next(reader, None)
+                if header is None or [h.strip() for h in header[:2]] != ["zeta", "mu"]:
+                    raise ValidationError(f"{path}: expected header 'zeta,mu'")
+                for row in filter(None, reader):
+                    zetas.append(float(row[0]))
+                    mus.append(float(row[1]))
+        except (OSError, ValueError, IndexError, csv.Error) as exc:
+            raise ValidationError(f"{path}: {exc}") from exc
         return cls(tuple(zetas), tuple(mus))
 
 
@@ -553,12 +569,13 @@ def _zero_set(z: np.ndarray, vals: np.ndarray, refine=None) -> EquilibriaInterva
     """Zero interval around the origin of a function sampled at increasing z:
     the zero samples must form one run holding a sample next to the origin,
     and the sign may change only across it (across the origin's segment when
-    no sample is zero), else NotAnInterval.  An end of the run is its zero
-    sample, or ``refine(inside, outside)`` of its index and the next one."""
+    no sample is zero), else NotAnInterval.  An end of the run is
+    ``refine(inside, outside)`` of its index and the next one out (-1 or
+    z.size past the samples); without ``refine`` (table knots) it is its
+    zero sample, or +-inf when the run holds the two knots at that end,
+    since the flat end segment extends."""
     zero = np.abs(vals) <= _ZERO_TOL
     at = np.flatnonzero(zero)
-    if at.size == vals.size:
-        return EquilibriaInterval(-math.inf, math.inf)
     # The origin lies between samples left and left + 1.
     left = min(int(z[1:].searchsorted(0.0, side="right")), z.size - 2)
     if at.size:
@@ -571,17 +588,23 @@ def _zero_set(z: np.ndarray, vals: np.ndarray, refine=None) -> EquilibriaInterva
         raise NotAnInterval("function changes sign away from the origin")
     if not at.size:
         return EquilibriaInterval(0.0, 0.0)
-    end = refine or (lambda inside, outside: float(z[inside]))
-    return EquilibriaInterval(end(lo, lo - 1), end(hi, hi + 1))
+    if refine is None:
+        lower = -math.inf if lo == 0 < hi else float(z[lo])
+        upper = math.inf if lo < hi == z.size - 1 else float(z[hi])
+        return EquilibriaInterval(lower, upper)
+    return EquilibriaInterval(refine(lo, lo - 1), refine(hi, hi + 1))
 
 
 def _equilibria_by_scan(f: EdgeFunction) -> EquilibriaInterval:
-    z = np.linspace(-_SCAN_HALF_WIDTH, _SCAN_HALF_WIDTH, _SCAN_SAMPLES)
+    z = _SCAN.points()
 
     def refine(inside: int, outside: int) -> float:
-        # Bisect the boundary between a zero of psi and a non-zero value.
         if not 0 <= outside < z.size:
-            return float(z[inside])
+            raise NotAnInterval(
+                f"zeros reach the end of the scan at {z[inside]:g}, "
+                "so where they end is unknown"
+            )
+        # Bisect the boundary between a zero of psi and a non-zero value.
         inside, outside = float(z[inside]), float(z[outside])
         for _ in range(80):
             mid = 0.5 * (inside + outside)

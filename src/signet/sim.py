@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Optional, TextIO
 
 import numpy as np
@@ -37,8 +37,8 @@ _MAX_ROWS = 10**6
 class SimConfig:
     """Integration and classification parameters.
 
-    Every parameter must be finite except ``blowup_threshold``, which may be
-    +inf to switch the blowup guard off (growth then ends in NonFiniteState).
+    Every parameter must be positive and finite, but ``blowup_threshold``
+    may be +inf to switch the blowup guard off (growth then ends in NonFiniteState).
     """
 
     t_end: float
@@ -50,26 +50,22 @@ class SimConfig:
     cluster_tol: float = 1e-3
 
     def __post_init__(self):
-        for name in ("t_end", "dt", "u_tol", "window", "cluster_tol"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValidationError(f"{name} must be finite")
-        if not (self.t_end > 0 and self.dt > 0):
-            raise ValidationError("t_end and dt must be positive")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not (value > 0 and (value < math.inf or f.name == "blowup_threshold")):
+                raise ValidationError(
+                    f"{f.name} must be positive and finite, got {value!r}"
+                )
         if not self.t_end / self.dt <= _MAX_STEPS:  # also when it overflows
             raise ValidationError(
                 f"t_end / dt gives {self.t_end / self.dt:.6g} steps, over {_MAX_STEPS}"
             )
         if not (self.dt < self.window):
             raise ValidationError("steadiness window must exceed the step size")
-        if self.record_every < 1:
-            raise ValidationError("record_every must be a positive integer")
         # The initial state, every record_every-th step and the last one.
         rows = 1 + -(-self.steps // self.record_every)
         if rows > _MAX_ROWS:
             raise ValidationError(f"the run records {rows} rows, over {_MAX_ROWS}")
-        for name in ("u_tol", "blowup_threshold", "cluster_tol"):
-            if not (getattr(self, name) > 0):
-                raise ValidationError(f"{name} must be positive")
 
     @property
     def steps(self) -> int:

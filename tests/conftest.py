@@ -14,6 +14,7 @@ import pytest
 from signet.edgefn import (
     DeadZone,
     EquilibriaInterval,
+    GridSpec,
     Linear,
     MonotonicityReport,
     Negated,
@@ -21,6 +22,7 @@ from signet.edgefn import (
     SampledTable,
     SignClass,
     SignLabel,
+    Sum,
 )
 from signet.errors import NotAnInterval
 from signet.graph import Edge, Graph
@@ -128,7 +130,11 @@ def reference_edge_monotonicity(system, grid) -> tuple[MonotonicityReport, ...]:
 # grow the zero run around the origin and reject zeros elsewhere; only the
 # table checks for sign changes, and neither does so when no sample around
 # the origin is zero.  On functions whose only sign change is at the origin
-# they are right, and the shared routine must match them there.
+# they are right, and the shared routine must match them there.  Both
+# follow the corrected end rule: a table's run that holds its first (last)
+# two knots ends at -inf (+inf), since the flat end segment extends; a scan
+# cannot see past its ends, so a run that reaches one is NotAnInterval, and
+# a linear map built from Linear, Negated and Sum is decided by its weight.
 
 
 def reference_table_equilibria(table) -> EquilibriaInterval:
@@ -150,15 +156,31 @@ def reference_table_equilibria(table) -> EquilibriaInterval:
     for a, b in zip(vals, vals[1:]):
         if a * b < 0 and not (abs(a) <= 1e-12 or abs(b) <= 1e-12):
             raise NotAnInterval("table crosses zero away from the origin run")
-    return EquilibriaInterval(table.zetas[lo], table.zetas[hi])
+    lower = -math.inf if lo == 0 and hi > 0 else table.zetas[lo]
+    upper = math.inf if hi == len(vals) - 1 and lo < hi else table.zetas[hi]
+    return EquilibriaInterval(lower, upper)
+
+
+def _linear_weight(f):
+    """w when f is a linear map built from Linear, Negated and Sum."""
+    if isinstance(f, Linear):
+        return f.w
+    if isinstance(f, Negated):
+        w = _linear_weight(f.inner)
+        return None if w is None else -w
+    if isinstance(f, Sum):
+        ws = [_linear_weight(t) for t in f.terms]
+        return None if None in ws else sum(ws)
+    return None
 
 
 def reference_scan_equilibria(f, half_width=100.0, samples=8001) -> EquilibriaInterval:
+    w = _linear_weight(f)
+    if w is not None:
+        return EquilibriaInterval(*((-math.inf, math.inf) if w == 0.0 else (0.0, 0.0)))
     z = np.linspace(-half_width, half_width, samples)
     vals = f(z)
     zero = np.abs(vals) <= 1e-12
-    if np.all(zero):
-        return EquilibriaInterval(-math.inf, math.inf)
     center = samples // 2
     if not zero[center]:
         return EquilibriaInterval(0.0, 0.0)
@@ -169,6 +191,8 @@ def reference_scan_equilibria(f, half_width=100.0, samples=8001) -> EquilibriaIn
         hi += 1
     if np.any(zero[:lo]) or np.any(zero[hi + 1 :]):
         raise NotAnInterval("zero set is not a single interval around 0")
+    if lo == 0 or hi == samples - 1:
+        raise NotAnInterval("zeros reach the end of the scan")
 
     def refine(inside: float, outside: float) -> float:
         for _ in range(80):
@@ -179,12 +203,8 @@ def reference_scan_equilibria(f, half_width=100.0, samples=8001) -> EquilibriaIn
                 outside = mid
         return inside
 
-    lower = float(z[lo]) if lo == 0 else refine(float(z[lo]), float(z[lo - 1]))
-    upper = (
-        float(z[hi])
-        if hi == samples - 1
-        else refine(float(z[hi]), float(z[hi + 1]))
-    )
+    lower = refine(float(z[lo]), float(z[lo - 1]))
+    upper = refine(float(z[hi]), float(z[hi + 1]))
     return EquilibriaInterval(lower, upper)
 
 
@@ -255,7 +275,7 @@ def eleven_positive_network() -> NetworkSystem:
 def eleven_table(eleven_positive_network):
     """Equivalent edge function of the positive eleven-node network, 1 <-> 4."""
     return circuit.equivalent_edge_function(
-        eleven_positive_network, 1, 4, 100.0, 2001, check_preconditions=False
+        eleven_positive_network, 1, 4, GridSpec(100.0, 2001)
     )
 
 

@@ -61,7 +61,7 @@ def criterion(number: int, label: str):
 @pytest.fixture(scope="module")
 def series_solution(series_network):
     t0 = time.perf_counter()
-    op = solve_operating_point(series_network, 1, 3, 3.0, check_preconditions=False)
+    op = solve_operating_point(series_network, 1, 3, 3.0)
     elapsed = time.perf_counter() - t0
     return {"op": op, "elapsed": elapsed}
 
@@ -92,8 +92,7 @@ def linear_suite():
         g = Graph(n, tuple(Edge(i + 1, a, b) for i, (a, b) in enumerate(edges)))
         net = NetworkSystem(g, [Identity()] * n, [Linear(float(v)) for v in w])
         r = effective_resistance(g, w, p, q)
-        table = equivalent_edge_function(net, p, q, 100.0, 2001,
-                                         check_preconditions=False)
+        table = equivalent_edge_function(net, p, q, GridSpec(100.0, 2001))
         cases.append({"net": net, "graph": g, "w": w, "p": p, "q": q,
                       "r": r, "table": table})
     return {"cases": cases, "elapsed": time.perf_counter() - t0}
@@ -104,7 +103,7 @@ def eleven_suite(eleven_positive_network):
     """Eleven-node scenario: table, the three candidate edges, all three runs."""
     t0 = time.perf_counter()
     table = equivalent_edge_function(
-        eleven_positive_network, 1, 4, 100.0, 2001, check_preconditions=False
+        eleven_positive_network, 1, 4, GridSpec(100.0, 2001)
     )
     z = table.zetas
     clamped = np.interp(np.clip(z, -9.0, 9.0), z, table.mus)
@@ -151,8 +150,7 @@ def threshold_runs(series_network):
                         window=1.0, cluster_tol=1e-3, blowup_threshold=1e6)
         out[name] = {"net": net, "w": w, "cfg": cfg,
                      "tr": simulate(net, np.array([4.0, 0.0, -1.0]), cfg)}
-    table = equivalent_edge_function(series_network, 1, 3, 100.0, 401,
-                                     check_preconditions=False)
+    table = equivalent_edge_function(series_network, 1, 3, GridSpec(100.0, 401))
     out["series_table"] = table
     return out
 
@@ -292,7 +290,8 @@ def test_05_eleven_node_scenarios(eleven_suite):
 
         # the output span settles at the boundary of the combined zero set
         report = equivalent_passivity_condition(
-            eleven_suite["positive_net"], r3["fn"], 1, 4, table=table
+            eleven_suite["positive_net"], r3["fn"], 1, 4, GridSpec(100.0, 2001),
+            table=table,
         )
         assert report.holds and not report.strict
         tol = 1e-9 * (1.0 + report.zetas**2)
@@ -329,7 +328,7 @@ def test_07_cocontent_minimality_and_grid_bracket():
             g3, [Identity()] * 3, [DeadZone(1.0, 1.0), Linear(1.0)]
         )
         zpqA = 3.0
-        opA = solve_operating_point(netA, 1, 3, zpqA, check_preconditions=False)
+        opA = solve_operating_point(netA, 1, 3, zpqA)
 
         # instance B: two free nodes on a path of three distinct edges
         g4 = Graph(4, (Edge(1, 1, 2), Edge(2, 2, 3), Edge(3, 3, 4)))
@@ -338,7 +337,7 @@ def test_07_cocontent_minimality_and_grid_bracket():
             [Linear(1.0), DeadZone(1.0, 1.0), Linear(0.5)],
         )
         zpqB = 2.0
-        opB = solve_operating_point(netB, 1, 4, zpqB, check_preconditions=False)
+        opB = solve_operating_point(netB, 1, 4, zpqB)
 
         for net, op, zpq, p, q in (
             (netA, opA, zpqA, 1, 3), (netB, opB, zpqB, 1, 4)

@@ -72,20 +72,20 @@ def test_predict_positive_network_without_spanning_core(six_clustering_network):
 
 
 def test_predict_weak_negative_edge_agreement():
-    pred = predict(series_plus_closing(-0.25), GRID, eq_samples=401)
+    pred = predict(series_plus_closing(-0.25), COARSE)
     assert pred.verdict is Verdict.AGREEMENT_GUARANTEED
     assert pred.applied_result == "strict-equivalent-passivity"
 
 
 def test_predict_boundary_weight_gives_cluster_counts():
-    pred = predict(series_plus_closing(-1 / 3), GRID, eq_samples=401)
+    pred = predict(series_plus_closing(-1 / 3), COARSE)
     assert pred.verdict is Verdict.CLUSTER_COUNT_PREDICTION
     assert pred.applied_result == "single-cycle-cluster-count"
     assert pred.cluster_counts == frozenset({1, 3})
 
 
 def test_predict_strong_negative_edge_no_guarantee():
-    pred = predict(series_plus_closing(-0.5), GRID, eq_samples=401)
+    pred = predict(series_plus_closing(-0.5), COARSE)
     assert pred.verdict is Verdict.NO_GUARANTEE
 
 
@@ -102,16 +102,16 @@ def test_strong_negative_edge_diverges_in_simulation():
 def test_predict_eleven_node_variants(
     eleven_f1_network, eleven_f3_network, eleven_positive_network
 ):
-    pred1 = predict(eleven_f1_network, COARSE, eq_samples=401)
+    pred1 = predict(eleven_f1_network, COARSE)
     assert pred1.verdict is Verdict.AGREEMENT_GUARANTEED
     assert pred1.applied_result == "strict-equivalent-passivity"
 
     from conftest import make_eleven_negative
 
-    pred2 = predict(make_eleven_negative(Negated(Linear(1.0))), COARSE, eq_samples=401)
+    pred2 = predict(make_eleven_negative(Negated(Linear(1.0))), COARSE)
     assert pred2.verdict is Verdict.NO_GUARANTEE
 
-    pred3 = predict(eleven_f3_network, COARSE, eq_samples=401)
+    pred3 = predict(eleven_f3_network, COARSE)
     assert pred3.verdict is Verdict.CLUSTER_COUNT_PREDICTION
     assert pred3.cluster_counts == frozenset({1, 4})
     assert pred3.certificates["cycle_length"] == 4
@@ -140,7 +140,7 @@ def test_boundary_tree_beyond_enumeration_size_gives_cluster_counts():
     fns = [Linear(float(v)) for v in w] + [Linear(-1.0 / r)]
     net = NetworkSystem(g, [Identity()] * n, fns)
 
-    pred = predict(net, COARSE, eq_samples=101)
+    pred = predict(net, GridSpec(100.0, 101))
     assert pred.verdict is Verdict.CLUSTER_COUNT_PREDICTION
     assert pred.applied_result == "single-cycle-cluster-count"
     assert pred.cluster_counts == frozenset({1, path_nodes})
@@ -155,7 +155,7 @@ def test_predict_cycle_separated_non_strict_edges():
     fns = [Linear(1.0), Linear(1.0), Negated(Linear(0.05)),
            Linear(1.0), Linear(1.0), Negated(Linear(0.05))]
     net = NetworkSystem(g, [Identity()] * 5, fns)
-    pred = predict(net, GRID, eq_samples=201)
+    pred = predict(net, GridSpec(100.0, 201))
     assert pred.verdict is Verdict.CONVERGENCE_GUARANTEED
     assert pred.applied_result == "cycle-separated-equivalent-passivity"
     assert len(pred.certificates["conditions"]) == 2
@@ -163,17 +163,17 @@ def test_predict_cycle_separated_non_strict_edges():
 
 def test_equivalent_passivity_condition_linear_margins(series_network):
     rep = equivalent_passivity_condition(series_network, Linear(-0.25), 1, 3,
-                                         100.0, 401)
+                                         COARSE)
     assert rep.holds and rep.strict
     np.testing.assert_allclose(rep.margin, rep.zetas**2 / 12.0, atol=1e-8)
 
     rep0 = equivalent_passivity_condition(series_network, Linear(-1 / 3), 1, 3,
-                                          100.0, 401)
+                                          COARSE)
     assert rep0.holds and not rep0.strict
     assert np.max(np.abs(rep0.margin)) <= 1e-9 * (1 + rep0.zetas.max() ** 2)
 
     rep_bad = equivalent_passivity_condition(series_network, Linear(-0.5), 1, 3,
-                                             100.0, 401)
+                                             COARSE)
     assert not rep_bad.holds
 
 
@@ -297,7 +297,7 @@ def test_condition_agrees_with_eigen_oracle_on_random_linear_networks():
         r = effective_resistance(g, w, p, q)
         factor = float(rng.choice([0.3, 0.7, 1.0, 1.4, 2.5]))
         w_neg = -factor / r
-        rep = equivalent_passivity_condition(net, Linear(w_neg), p, q, 50.0, 21)
+        rep = equivalent_passivity_condition(net, Linear(w_neg), p, q, GridSpec(50.0, 21))
         g_full = Graph(
             n, g.edges + (Edge(len(edges) + 1, p, q),)
         )

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from signet import analysis, cli
+from signet import analysis, cli, config
 from signet.config import load_config, parse_config
 from signet.edgefn import GridSpec, Negated, PowerSign, SampledTable
 from signet.errors import CapExceeded, ParseError, ValidationError
@@ -293,6 +293,52 @@ def test_cli_rejects_unusable_grid_half_width(tmp_path, capsys, command, half_wi
                    "--grid-n", half_width) == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith("error: InvalidGrid")
+
+
+def assert_one_error_line(capsys, kind):
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith(f"error: {kind}")
+
+
+@pytest.mark.parametrize("eqfun", [
+    {"n": 1e200}, {"n": float("inf")}, {"n": float("nan")}, {"n": 0}, {"n": -1},
+    {"samples": 1}, {"samples": 100},
+])
+def test_cli_rejects_unusable_eqfun_grid(tmp_path, capsys, eqfun):
+    # 1e200 is finite, but the margins square the grid points
+    cfg = tmp_path / "net.json"
+    cfg.write_text(doc(eqfun={"p": 1, "q": 2, **eqfun}))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run_cli("eqfun", "--config", cfg, "--out", tmp_path / "o") == 2
+    assert not caught
+    assert_one_error_line(capsys, "InvalidGrid")
+    assert not (tmp_path / "o" / "eqfun.csv").exists()
+
+
+def negations(levels):
+    """A one-edge config whose edge function nests ``levels`` deep."""
+    fn = {"kind": "linear", "w": 1.0}
+    for _ in range(levels - 1):
+        fn = {"kind": "negated", "fn": fn}
+    return doc(edges=[{"id": 1, "tail": 1, "head": 2, "fn": fn}])
+
+
+def test_cli_rejects_deeply_nested_edge_function(tmp_path, capsys):
+    cfg = tmp_path / "deep.json"
+    cfg.write_text(negations(600))
+    assert run_cli("classify", "--config", cfg, "--out", tmp_path / "o") == 2
+    assert_one_line_validation_error(capsys)
+    parse_config(negations(config._MAX_NESTING)).build_system()
+    with pytest.raises(ValidationError, match="nested"):
+        parse_config(negations(config._MAX_NESTING + 1))
+
+
+def test_cli_rejects_deeply_nested_json(tmp_path, capsys):
+    cfg = tmp_path / "deep.json"
+    cfg.write_text("[" * 100000 + "]" * 100000)
+    assert run_cli("classify", "--config", cfg, "--out", tmp_path / "o") == 2
+    assert_one_error_line(capsys, "ParseError")
 
 
 @pytest.mark.parametrize("table", [

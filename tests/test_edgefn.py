@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from signet.edgefn import (
     DeadZone,
     EdgeFunction,
+    EquilibriaInterval,
     GridSpec,
     Linear,
     Negated,
@@ -302,11 +303,43 @@ def origin_crossing_sums(draw):
     return Sum((Negated(f),)) if draw(st.booleans()) else f
 
 
+def _or_not_an_interval(call):
+    try:
+        return call()
+    except NotAnInterval:
+        return NotAnInterval
+
+
 @given(table=origin_crossing_tables(), f=origin_crossing_sums())
 @settings(max_examples=200, deadline=None)
 def test_zero_set_matches_former_routines(table, f):
     assert table.equilibria() == reference_table_equilibria(table)
-    assert f.equilibria() == reference_scan_equilibria(f)
+    assert _or_not_an_interval(f.equilibria) == _or_not_an_interval(
+        lambda: reference_scan_equilibria(f)
+    )
+
+
+def test_table_zero_run_through_an_end_knot_pair_is_unbounded():
+    # the flat end segment extends past the last knot, and so does the zero
+    left = SampledTable((-1.0, 0.0, 1.0), (0.0, 0.0, 1.0))
+    assert left.equilibria() == EquilibriaInterval(-math.inf, 0.0)
+    right = SampledTable((-2.0, -1.0, 0.0, 1.0), (-1.0, 0.0, 0.0, 0.0))
+    assert right.equilibria() == EquilibriaInterval(-1.0, math.inf)
+    # one zero knot at the end: the end segment is not flat
+    end_knot = SampledTable((-1.0, 0.0), (-1.0, 0.0))
+    assert end_knot.equilibria() == EquilibriaInterval(0.0, 0.0)
+    for t in (left, right, end_knot):
+        assert t.equilibria() == reference_table_equilibria(t)
+
+
+def test_scan_zero_run_reaching_the_scan_end_is_not_an_interval():
+    # zero on [-150, 150], which the scan over [-100, 100] cannot see past
+    f = Sum((DeadZone(1.0, 150.0), Linear(0.0)))
+    assert f(200.0) == 50.0
+    with pytest.raises(NotAnInterval):
+        f.equilibria()
+    with pytest.raises(NotAnInterval):
+        reference_scan_equilibria(f)
 
 
 @pytest.mark.parametrize("alpha", [0.5, 0.3])
