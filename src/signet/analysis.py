@@ -39,14 +39,14 @@ from .circuit import (
     edge_monotonicity,
     equivalent_edge_function,
 )
-from .errors import Inapplicable, NonLinearEdges, NotAnInterval, ValidationError
+from .errors import Inapplicable, NonLinearEdges, NotAnInterval
 from .graph import (
     Graph,
     Path,
     connected_components,
     edge_blocks,
     edge_subgraph,
-    incidence,
+    laplacian,
     least_path_cost,
     unique_cycle_through_edge,
 )
@@ -106,15 +106,6 @@ def classify_edges(
     return ef.classify_signs(
         system.edge_chunks(grid.samples), system.edge_count, grid
     )
-
-
-def positive_subnetwork(
-    system: NetworkSystem, keep_edge_ids: Sequence[int]
-) -> tuple[NetworkSystem, dict[int, int]]:
-    """Subsystem on the given edges (same nodes); raises if disconnected."""
-    sub, id_map = edge_subgraph(system.graph, keep_edge_ids)
-    fns = [system.edge_functions[old - 1] for old in sorted(id_map)]
-    return NetworkSystem(sub, system.node_dynamics, fns), id_map
 
 
 def equivalent_passivity_condition(
@@ -201,9 +192,8 @@ def predict(system: NetworkSystem, grid: ef.GridSpec) -> Prediction:
         )
         return Prediction(Verdict.AGREEMENT_GUARANTEED, tag, None, certificates)
 
-    non_strict = [e.id for e in system.graph.edges if e.id not in sp_set]
-
-    if len(non_strict) == 1 or not all_positive:
+    if len(sp_blocks) == 1:
+        non_strict = [e.id for e in system.graph.edges if e.id not in sp_set]
         verdict = _predict_non_strict(system, non_strict, certificates)
         if verdict is not None:
             return verdict
@@ -218,8 +208,8 @@ def predict(system: NetworkSystem, grid: ef.GridSpec) -> Prediction:
 def _predict_non_strict(system, non_strict, certificates):
     """Equivalent passivity of non-strict edges no two of which share a cycle.
 
-    Returns None when the test does not apply: two of the edges share a
-    cycle, or the strictly positive rest is empty, disconnected or not
+    The strictly positive rest must be connected.  Returns None when the
+    test does not apply: two of the edges share a cycle, or the rest is not
     monotone.  A single edge is the k = 1 case, the only one that can
     certify agreement or predict cluster counts.
     """
@@ -227,14 +217,12 @@ def _predict_non_strict(system, non_strict, certificates):
     labels = edge_blocks(g)
     if len({labels[k - 1] for k in non_strict}) < len(non_strict):
         return None
-    non_strict_set = set(non_strict)
-    rest = [e.id for e in g.edges if e.id not in non_strict_set]
-    if not rest:
-        return None
-    try:
-        positive_part, _ = positive_subnetwork(system, rest)
-    except ValidationError:
-        return None  # positive part disconnected: no equivalent function
+    positive_ids = certificates["strictly_positive_edges"]
+    positive_part = NetworkSystem(
+        edge_subgraph(g, positive_ids)[0],
+        system.node_dynamics,
+        [system.edge_functions[k - 1] for k in positive_ids],
+    )
     monotone = edge_monotonicity(positive_part, certificates["grid"])
     if not all(r.nondecreasing for r in monotone):
         return None
@@ -326,13 +314,7 @@ def signed_laplacian_min_eigenvalue(g: Graph, weights) -> float:
     For all-linear networks its sign separates agreement (positive) from
     divergence (negative); zero is the clustering boundary.
     """
-    w = np.asarray(weights, dtype=float)
-    if w.shape != (g.edge_count,):
-        raise ValidationError(
-            f"weight vector has shape {w.shape}, expected ({g.edge_count},)"
-        )
-    E = incidence(g)
-    L = (E * w) @ E.T
+    L = laplacian(g, weights)
     n = g.node_count
     if n == 1:
         return 0.0

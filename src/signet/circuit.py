@@ -16,7 +16,6 @@ unavailable (dead-zone flats) or unbounded (power laws at zero tension).
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Optional, TextIO
 
@@ -29,7 +28,7 @@ from .errors import (
     NoConvergence,
     ValidationError,
 )
-from .graph import Graph, incidence, is_connected
+from .graph import Graph, is_connected, laplacian
 from .network import NetworkSystem, ReducedLaplacian
 
 # Derivatives beyond this are clamped when assembling the Newton system;
@@ -92,29 +91,30 @@ def edge_monotonicity(
     )
 
 
-def check_equivalent_edge_preconditions(system: NetworkSystem) -> None:
-    """Warn when the uniqueness conditions for operating points look violated.
+def check_equivalent_edge_preconditions(system: NetworkSystem) -> list[str]:
+    """One message per edge that may make operating points non-unique.
 
     Existence and uniqueness are guaranteed for strictly increasing edge
     functions whose flow grows without bound.  The check is advisory (only
-    ``signet eqfun`` makes it): the minimizer is still returned for merely
-    nondecreasing edges, but interior tensions may then be non-unique (the
-    terminal flow stays unique while the objective is convex).
+    ``signet eqfun`` makes it, printing each message as a warning): the
+    minimizer is still returned for merely nondecreasing edges, but interior
+    tensions may then be non-unique (the terminal flow stays unique while
+    the objective is convex).
     """
     reports = edge_monotonicity(system, ef.GridSpec(samples=401))
+    messages = []
     for e, report in zip(system.graph.edges, reports):
         if not report.nondecreasing:
-            warnings.warn(
+            messages.append(
                 f"edge {e.id}: function is not monotone on the check grid; "
-                "the cocontent objective may be nonconvex",
-                stacklevel=2,
+                "the cocontent objective may be nonconvex"
             )
         elif not (report.strictly and report.unbounded):
-            warnings.warn(
+            messages.append(
                 f"edge {e.id}: function is not strictly increasing and "
-                "unbounded; the operating point may be non-unique",
-                stacklevel=2,
+                "unbounded; the operating point may be non-unique"
             )
+    return messages
 
 
 def _harmonic_start(
@@ -152,10 +152,8 @@ def solve_operating_point(
 
     Raises NoConvergence after ``_MAX_ITER`` iterations.
     """
-    graph = system.graph
     for v in (p, q):
-        if not (1 <= v <= graph.node_count):
-            raise ValidationError(f"terminal {v} out of range")
+        system.graph.node(v, "terminal")
     if p == q:
         raise ValidationError("terminals must be distinct nodes")
 
@@ -380,21 +378,15 @@ def effective_resistance(
     and L^+ its Moore-Penrose pseudoinverse.
     """
     w = np.asarray(weights, dtype=float)
-    if w.shape != (g.edge_count,):
-        raise DimensionMismatch(
-            f"weight vector has shape {w.shape}, expected ({g.edge_count},)"
-        )
+    L = laplacian(g, w)
     if np.any(w <= 0):
         raise ValidationError("effective resistance needs strictly positive weights")
     for v in (p, q):
-        if not (1 <= v <= g.node_count):
-            raise ValidationError(f"terminal {v} out of range")
+        g.node(v, "terminal")
     if not is_connected(g):
         raise Disconnected("effective resistance needs a connected graph")
     if p == q:
         return 0.0
-    E = incidence(g)
-    L = (E * w) @ E.T
     b = np.zeros(g.node_count)
     b[p - 1] = 1.0
     b[q - 1] = -1.0

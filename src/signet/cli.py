@@ -2,12 +2,12 @@
 
 Every command reads a JSON config and writes its artifacts into the output
 directory.  Outputs are deterministic: identical inputs produce
-byte-identical files.  ``classify`` and ``predict`` classify, and
-``predict`` sweeps, on the ``--grid-n``/``--grid-m`` grid (``GridSpec()`` by
-default); ``eqfun`` sweeps the config's grid and alone warns of non-unique
-operating points.  Exit codes: 0 success, 2 validation error, 3 solver
-failure, 4 enumeration cap exceeded (kept for the library's enumeration
-routines; no command enumerates paths, so none reaches it).
+byte-identical files.  Only ``classify`` and ``predict`` take
+``--grid-n``/``--grid-m``: both classify edges on that grid (``GridSpec()``
+by default), and ``predict`` sweeps on it; ``eqfun`` sweeps the config's
+grid.  This module alone writes stderr: ``eqfun`` prints one ``warning:``
+line per edge that may make operating points non-unique, and a failure one
+``error:`` line.  Exit codes: 0 success, 2 validation error, 3 solver failure.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from . import analysis, circuit
 from .config import NetworkConfig, load_config
 from .edgefn import GridSpec
 from .errors import (
-    CapExceeded,
     NoConvergence,
     NonFiniteState,
     SignetError,
@@ -32,14 +31,13 @@ from .sim import OutcomeKind, classify_outcome, simulate, write_trajectory_csv
 
 _EXIT_VALIDATION = 2
 _EXIT_SOLVER = 3
-_EXIT_CAP = 4
 
 
 def _g17(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def _cmd_simulate(cfg: NetworkConfig, out: Path, grid: GridSpec) -> None:
+def _cmd_simulate(cfg: NetworkConfig, out: Path) -> None:
     if cfg.sim is None or cfg.initial_state is None:
         raise ValidationError("simulate needs 'sim' and 'initial_state' sections")
     system = cfg.build_system()
@@ -85,11 +83,12 @@ def _cmd_classify(cfg: NetworkConfig, out: Path, grid: GridSpec) -> None:
     (out / "classification.csv").write_text("\n".join(rows) + "\n")
 
 
-def _cmd_eqfun(cfg: NetworkConfig, out: Path, grid: GridSpec) -> None:
+def _cmd_eqfun(cfg: NetworkConfig, out: Path) -> None:
     if cfg.eqfun is None:
         raise ValidationError("eqfun command needs an 'eqfun' section")
     system = cfg.build_system()
-    circuit.check_equivalent_edge_preconditions(system)
+    for message in circuit.check_equivalent_edge_preconditions(system):
+        print(f"warning: {message}", file=sys.stderr)
     table = circuit.equivalent_edge_function(
         system, cfg.eqfun.p, cfg.eqfun.q, cfg.eqfun.grid
     )
@@ -128,10 +127,10 @@ def _cmd_predict(cfg: NetworkConfig, out: Path, grid: GridSpec) -> None:
 
 
 _COMMANDS = {
-    "simulate": _cmd_simulate,
-    "classify": _cmd_classify,
-    "eqfun": _cmd_eqfun,
-    "predict": _cmd_predict,
+    "simulate": (_cmd_simulate, "integrate the network and classify the outcome"),
+    "classify": (_cmd_classify, "passivity sign class of every edge"),
+    "eqfun": (_cmd_eqfun, "equivalent edge function between the config terminals"),
+    "predict": (_cmd_predict, "convergence verdict from the sufficient conditions"),
 }
 
 
@@ -141,40 +140,31 @@ def main(argv=None) -> int:
         description="Simulate and analyze diffusively coupled nonlinear networks.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in (
-        ("simulate", "integrate the network and classify the outcome"),
-        ("classify", "passivity sign class of every edge"),
-        ("eqfun", "equivalent edge function between the config terminals"),
-        ("predict", "convergence verdict from the sufficient conditions"),
-    ):
+    for name, (_, help_text) in _COMMANDS.items():
         cmd = sub.add_parser(name, help=help_text)
         cmd.add_argument("--config", required=True, help="JSON network config")
         cmd.add_argument("--out", required=True, help="output directory")
-        cmd.add_argument(
-            "--grid-n", type=float, default=GridSpec.n,
-            help=f"half-width of classification/sweep grids (default {GridSpec.n:g})",
-        )
-        cmd.add_argument(
-            "--grid-m", type=int, default=GridSpec.samples,
-            help=f"number of grid samples (default {GridSpec.samples})",
-        )
+        if name in ("classify", "predict"):
+            cmd.add_argument(
+                "--grid-n", type=float, default=GridSpec.n,
+                help=f"half-width of classification/sweep grids (default {GridSpec.n:g})",
+            )
+            cmd.add_argument(
+                "--grid-m", type=int, default=GridSpec.samples,
+                help=f"number of grid samples (default {GridSpec.samples})",
+            )
     args = parser.parse_args(argv)
 
     try:
-        grid = GridSpec(args.grid_n, args.grid_m)
+        grid_arg = (GridSpec(args.grid_n, args.grid_m),) if "grid_n" in args else ()
         cfg = load_config(args.config)
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        _COMMANDS[args.command](cfg, out, grid)
-    except CapExceeded as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return _EXIT_CAP
-    except (NoConvergence, NonFiniteState) as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return _EXIT_SOLVER
+        _COMMANDS[args.command][0](cfg, out, *grid_arg)
     except (SignetError, OSError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return _EXIT_VALIDATION
+        solver = isinstance(exc, (NoConvergence, NonFiniteState))
+        return _EXIT_SOLVER if solver else _EXIT_VALIDATION
     return 0
 
 

@@ -254,8 +254,7 @@ def parse_config(text: str, base_dir: Optional[Path] = None) -> NetworkConfig:
     if "eqfun" in doc:
         eqfun_spec = _build(EqfunSpec, doc["eqfun"], "eqfun")
         for v in (eqfun_spec.p, eqfun_spec.q):
-            if not (1 <= v <= count):
-                raise ValidationError(f"eqfun terminal {v} out of range 1..{count}")
+            graph.node(v, "eqfun terminal")
 
     return NetworkConfig(
         graph=graph,

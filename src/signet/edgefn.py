@@ -423,7 +423,13 @@ class SampledTable(EdgeFunction):
         return self._knots[2][self._breaks.searchsorted(zeta, side="right")]
 
     def equilibria(self) -> EquilibriaInterval:
-        return _zero_set(*self._knots[:2])
+        z, m, s, _ = self._knots
+        # An end segment heading toward zero crosses it past the table's end.
+        if (abs(m[0]) > _ZERO_TOL and np.sign(s[0]) == np.sign(m[0])) or (
+            abs(m[-1]) > _ZERO_TOL and np.sign(s[-1]) == -np.sign(m[-1])
+        ):
+            raise NotAnInterval("an end segment extends across zero")
+        return _zero_set(z, m)
 
     def save_csv(self, dest) -> None:
         """Write the knots as ``zeta,mu`` CSV rows with 17 significant digits.

@@ -22,7 +22,7 @@ from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .errors import CapExceeded, ValidationError
+from .errors import CapExceeded, DimensionMismatch, ValidationError
 
 # Simple-path / cycle enumeration is exponential in the worst case; refuse
 # graphs beyond this many nodes unless the caller raises the cap explicitly.
@@ -90,16 +90,18 @@ class Graph:
             if e.tail == e.head:
                 raise ValidationError(f"edge {e.id} is a self-loop")
             for v in (e.tail, e.head):
-                if not (1 <= v <= self.node_count):
-                    raise ValidationError(
-                        f"edge {e.id} references node {v}, valid range is "
-                        f"1..{self.node_count}"
-                    )
+                self.node(v, f"edge {e.id} endpoint")
         object.__setattr__(self, "edges", edges)
 
     @property
     def edge_count(self) -> int:
         return len(self.edges)
+
+    def node(self, v: int, name: str = "node") -> int:
+        """``v`` when it numbers a node, else ValidationError naming it ``name``."""
+        if not (1 <= v <= self.node_count):
+            raise ValidationError(f"{name} {v} out of range 1..{self.node_count}")
+        return v
 
     def edge(self, edge_id: int) -> Edge:
         if not (1 <= edge_id <= len(self.edges)):
@@ -113,15 +115,27 @@ def incidence(g: Graph) -> np.ndarray:
     Column k has +1 at the tail of edge k and -1 at its head; all other
     entries are zero.  Columns therefore sum to zero, and for a connected
     graph the matrix has rank node_count - 1.  It takes O(node_count *
-    edge_count) memory, so it serves small dense computations (effective
-    resistance, the signed-Laplacian eigenvalue) and tests; products with it
-    are computed from edge endpoints in ``NetworkSystem``.
+    edge_count) memory, so it serves small dense computations (``laplacian``)
+    and tests; products with it are computed from edge endpoints in
+    ``NetworkSystem``.
     """
     mat = np.zeros((g.node_count, g.edge_count))
     for e in g.edges:
         mat[e.tail - 1, e.id - 1] = 1.0
         mat[e.head - 1, e.id - 1] = -1.0
     return mat
+
+
+def laplacian(g: Graph, weights) -> np.ndarray:
+    """Dense weighted Laplacian E diag(w) E^T of one weight per edge, in id
+    order; DimensionMismatch for any other number of weights."""
+    w = np.asarray(weights, dtype=float)
+    if w.shape != (g.edge_count,):
+        raise DimensionMismatch(
+            f"weight vector has shape {w.shape}, expected ({g.edge_count},)"
+        )
+    E = incidence(g)
+    return (E * w) @ E.T
 
 
 def _adjacency(g: Graph, keep: Optional[Callable[[Edge], bool]]):
@@ -261,8 +275,7 @@ def least_path_cost(
     ValidationError when no path joins i and j.
     """
     for v in (i, j):
-        if not (1 <= v <= g.node_count):
-            raise ValidationError(f"node {v} out of range")
+        g.node(v)
     adj = _adjacency(g, None)
     best = {i: 0.0}
     done: set[int] = set()
@@ -295,8 +308,7 @@ def all_simple_paths(
     Raises CapExceeded when node_count exceeds ``cap``.
     """
     for v in (i, j):
-        if not (1 <= v <= g.node_count):
-            raise ValidationError(f"node {v} out of range")
+        g.node(v)
     if g.node_count > cap:
         raise CapExceeded(
             f"graph has {g.node_count} nodes, enumeration cap is {cap}"

@@ -131,15 +131,23 @@ def reference_edge_monotonicity(system, grid) -> tuple[MonotonicityReport, ...]:
 # table checks for sign changes, and neither does so when no sample around
 # the origin is zero.  On functions whose only sign change is at the origin
 # they are right, and the shared routine must match them there.  Both
-# follow the corrected end rule: a table's run that holds its first (last)
-# two knots ends at -inf (+inf), since the flat end segment extends; a scan
-# cannot see past its ends, so a run that reaches one is NotAnInterval, and
-# a linear map built from Linear, Negated and Sum is decided by its weight.
+# follow the corrected end rules: a table's run that holds its first (last)
+# two knots ends at -inf (+inf), since the flat end segment extends, and a
+# nonzero end knot whose end segment heads toward zero makes the extension
+# cross zero, so the table is NotAnInterval; a scan cannot see past its ends,
+# so a run that reaches one is NotAnInterval, and a linear map built from
+# Linear, Negated and Sum is decided by its weight.
 
 
 def reference_table_equilibria(table) -> EquilibriaInterval:
     vals = table.mus
     zero = [abs(v) <= 1e-12 for v in vals]
+    # Beyond the first knot psi moves by -(vals[1] - vals[0]) per unit step,
+    # beyond the last by vals[-1] - vals[-2].
+    if (not zero[0] and (vals[1] - vals[0]) * vals[0] > 0) or (
+        not zero[-1] and (vals[-1] - vals[-2]) * vals[-1] < 0
+    ):
+        raise NotAnInterval("an extended end segment crosses zero")
     i0 = min(bisect_right(table.zetas, 0.0), len(vals) - 1) - 1
     if not (zero[i0] or zero[i0 + 1]):
         return EquilibriaInterval(0.0, 0.0)

@@ -5,16 +5,17 @@ import io
 import json
 import shutil
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from signet import analysis, cli, config
+from signet import analysis, circuit, cli, config
 from signet.config import load_config, parse_config
 from signet.edgefn import GridSpec, Negated, PowerSign, SampledTable
-from signet.errors import CapExceeded, ParseError, ValidationError
+from signet.errors import ParseError, ValidationError
 from signet.sim import SimConfig
 
 from conftest import CONFIG_DIR, reference_classify_edges, reference_edge_monotonicity
@@ -383,14 +384,32 @@ def test_cli_solver_failure_exit_code(tmp_path):
     assert run_cli("simulate", "--config", cfg, "--out", tmp_path / "o") == 3
 
 
-def test_cli_cap_exit_code(tmp_path, monkeypatch):
-    def raises_cap(cfg, out, grid):
-        raise CapExceeded("synthetic")
+def test_cli_eqfun_warns_in_one_line_per_edge(tmp_path, capsys):
+    # a dead zone makes the operating point non-unique; the linear edge is fine
+    cfg = tmp_path / "chain.json"
+    cfg.write_text(doc(
+        nodes={"count": 3},
+        edges=[
+            {"id": 1, "tail": 1, "head": 2,
+             "fn": {"kind": "dead_zone", "w": 1.0, "band": 1.0}},
+            {"id": 2, "tail": 2, "head": 3, "fn": {"kind": "linear", "w": 1.0}},
+        ],
+        eqfun={"p": 1, "q": 3, "samples": 11},
+    ))
+    assert run_cli("eqfun", "--config", cfg, "--out", tmp_path / "o") == 0
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("warning: edge 1:")
+    assert "non-unique" in err and ".py" not in err and "/" not in err
+    assert (tmp_path / "o" / "eqfun.csv").exists()
 
-    monkeypatch.setitem(cli._COMMANDS, "classify", raises_cap)
-    cfg = tmp_path / "net.json"
-    cfg.write_text(doc())
-    assert run_cli("classify", "--config", cfg, "--out", tmp_path / "o") == 4
+
+@pytest.mark.parametrize("command", ["simulate", "eqfun"])
+def test_cli_grid_flags_only_on_grid_commands(config_dir, tmp_path, command):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(command, "--config", config_dir / "three_node_series.json",
+                "--out", tmp_path / "o", "--grid-m", 5)
+    assert exc.value.code == 2
+    assert not (tmp_path / "o").exists()
 
 
 def test_shipped_configs_all_parse(config_dir):
@@ -512,14 +531,29 @@ def test_cli_exit_code_contract_under_mutated_configs(fuzz_dir, data):
         _mutate(document, data)
     cfg = fuzz_dir / "mutated.json"
     cfg.write_text(json.dumps(document))
-    runs = [("classify",)]
+    runs = [("classify", cfg)]
     if name in SMALL:
-        runs.append(("predict", "--grid-m", 101))
-    for args in runs:
+        runs.append(("predict", cfg, "--grid-m", 101))
+    eqfun = document.get("eqfun")
+    if isinstance(eqfun, dict) and type(eqfun.get("samples")) is int:
+        # At most 11 samples keep the sweep cheap.
+        eqfun["samples"] = min(eqfun["samples"], 11)
+        eqfun_cfg = fuzz_dir / "mutated_eqfun.json"
+        eqfun_cfg.write_text(json.dumps(document))
+        runs.append(("eqfun", eqfun_cfg))
+    for command, path, *extra in runs:
         err = io.StringIO()
-        with contextlib.redirect_stderr(err):
-            code = run_cli(args[0], "--config", cfg, "--out", fuzz_dir / "out", *args[1:])
-        assert code in (0, 2, 3, 4)
+        # Shipped sweeps need at most 67 Newton iterations per sample; a
+        # nonconvex mutation would spend 10^4 before failing with exit 3.
+        with contextlib.redirect_stderr(err), mock.patch.object(circuit, "_MAX_ITER", 300):
+            code = run_cli(command, "--config", path, "--out", fuzz_dir / "out", *extra)
+        assert code in (0, 2, 3)
+        lines = err.getvalue().splitlines()
+        errors = [line for line in lines if line.startswith("error: ")]
+        warned = [line for line in lines if line.startswith("warning: ")]
+        assert len(errors) + len(warned) == len(lines)
+        assert command == "eqfun" or not warned
         if code:
-            assert err.getvalue().count("\n") == 1
-            assert err.getvalue().startswith("error: ")
+            assert lines and errors == [lines[-1]]
+        else:
+            assert not errors

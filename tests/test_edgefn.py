@@ -313,7 +313,9 @@ def _or_not_an_interval(call):
 @given(table=origin_crossing_tables(), f=origin_crossing_sums())
 @settings(max_examples=200, deadline=None)
 def test_zero_set_matches_former_routines(table, f):
-    assert table.equilibria() == reference_table_equilibria(table)
+    assert _or_not_an_interval(table.equilibria) == _or_not_an_interval(
+        lambda: reference_table_equilibria(table)
+    )
     assert _or_not_an_interval(f.equilibria) == _or_not_an_interval(
         lambda: reference_scan_equilibria(f)
     )
@@ -330,6 +332,19 @@ def test_table_zero_run_through_an_end_knot_pair_is_unbounded():
     assert end_knot.equilibria() == EquilibriaInterval(0.0, 0.0)
     for t in (left, right, end_knot):
         assert t.equilibria() == reference_table_equilibria(t)
+
+
+@pytest.mark.parametrize("table", [
+    # the last segment, extended past z = 2, is 0 at z = 3
+    SampledTable((-1.0, 0.0, 1.0, 2.0), (-1.0, 0.0, 2.0, 1.0)),
+    # its mirror: the first segment, extended below z = -2, is 0 at z = -3
+    SampledTable((-2.0, -1.0, 0.0, 1.0), (-1.0, -2.0, 0.0, 1.0)),
+])
+def test_table_end_segment_crossing_zero_is_not_an_interval(table):
+    with pytest.raises(NotAnInterval):
+        table.equilibria()
+    with pytest.raises(NotAnInterval):
+        reference_table_equilibria(table)
 
 
 def test_scan_zero_run_reaching_the_scan_end_is_not_an_interval():
