@@ -9,9 +9,12 @@ function of the two-terminal network, the nonlinear counterpart of the
 inverse effective resistance.
 
 The objective is convex whenever every edge function is monotonically
-nondecreasing, so the solver is a damped Newton method with an Armijo
-backtracking line search and a plain gradient fallback where the Hessian is
+nondecreasing.  The solver takes full Newton steps on the exact edge slopes
+while they halve the gradient (quadratic convergence away from power-law
+kinks), else a chord-majorized (Kacanov-type) Newton step with an Armijo
+backtracking line search, and a gradient step where the Hessian is
 unavailable (dead-zone flats) or unbounded (power laws at zero tension).
+Sweeps predict each sample by a secant through the previous two.
 """
 
 from __future__ import annotations
@@ -134,9 +137,9 @@ def _harmonic_start(
     return y
 
 
-# Power-law slopes are infinite at zero tension and chord slopes divide by
-# the tension; both are caught by explicit finiteness checks in the solve.
-@np.errstate(divide="ignore", invalid="ignore")
+# Power-law slopes are infinite at zero tension, chord slopes divide by the
+# tension and an unbounded objective overflows; the solve checks finiteness.
+@np.errstate(divide="ignore", invalid="ignore", over="ignore")
 def solve_operating_point(
     system: NetworkSystem,
     p: int,
@@ -148,9 +151,15 @@ def solve_operating_point(
 
     Minimizes the total cocontent over the free potentials with y_p pinned
     to zeta_pq and y_q grounded at 0.  At the returned point the net flow at
-    every free node is at most ``_GRAD_TOL`` in infinity norm.
+    every free node is at most ``_GRAD_TOL`` in infinity norm (ten times
+    that where float resolution stalls the line search).
 
-    Raises NoConvergence after ``_MAX_ITER`` iterations.
+    Each iteration keeps the full Newton step on the exact (clamped) slopes
+    if it at least halves the gradient norm; otherwise the chord-majorized
+    step, which does not zigzag across power-law kinks, is line-searched.
+
+    Raises NoConvergence after ``_MAX_ITER`` iterations, or as soon as the
+    objective or its gradient is not finite (an objective unbounded below).
     """
     for v in (p, q):
         system.graph.node(v, "terminal")
@@ -170,98 +179,104 @@ def solve_operating_point(
     flow, cocontent, derivative = system._flow, system._cocontent, system._slope
 
     def evaluate(yv: np.ndarray):
-        """Objective, net outflow E mu per node, tension and flow at yv.
-
-        The outflow at the free nodes is the objective's gradient.
-        """
+        """(yv, objective, net outflow E mu per node, its max |.| over the
+        free nodes, where it is the objective's gradient, tension, flow)."""
         zeta = yv[tail] - yv[head]
         mu = flow(zeta)
         F = float(cocontent(zeta).sum())
-        return F, np.bincount(tail, mu, n) - np.bincount(head, mu, n), zeta, mu
+        outflow = np.bincount(tail, mu, n) - np.bincount(head, mu, n)
+        if not (np.isfinite(F) and np.all(np.isfinite(outflow))):
+            raise NoConvergence(
+                f"objective or gradient not finite at zeta_pq = {zeta_pq:.6g}; "
+                "the cocontent may be unbounded below"
+            )
+        g_norm = float(np.max(np.abs(outflow[free]), initial=0.0))
+        return yv, F, outflow, g_norm, zeta, mu
 
-    def clamped_slopes(zeta: np.ndarray, mu: np.ndarray) -> np.ndarray:
-        """Per-edge model slopes for the Newton system.
+    def moved(step: float, direction: np.ndarray):
+        y_try = y.copy()
+        y_try[free] += step * direction
+        return evaluate(y_try)
 
-        Uses the larger of the pointwise derivative and the chord slope
-        mu/zeta.  For concave flow laws (power functions) the chord
-        majorizes the curvature toward the origin, which stops Newton from
-        zigzagging across the kink; for linear edges the two coincide.
-        """
+    def exact_slopes(zeta: np.ndarray) -> np.ndarray:
+        """Pointwise edge derivatives, clamped for the Newton system."""
         d = derivative(zeta)
-        d = np.where(np.isfinite(d), d, _DERIV_CLAMP)
+        return np.minimum(np.where(np.isfinite(d), d, _DERIV_CLAMP), _DERIV_CLAMP)
+
+    def chord_slopes(zeta: np.ndarray, mu: np.ndarray, d: np.ndarray) -> np.ndarray:
+        """Larger of the clamped derivative ``d`` and the chord slope mu/zeta.
+
+        For concave flow laws (power functions) the chord majorizes the
+        curvature toward the origin, which stops Newton from zigzagging
+        across the kink; for linear edges the two coincide.
+        """
         chord = np.where(np.abs(zeta) > 1e-300, mu / zeta, d)
         chord = np.where(np.isfinite(chord), chord, d)
         return np.minimum(np.maximum(d, chord), _DERIV_CLAMP)
 
+    def newton_direction(d: np.ndarray, g: np.ndarray) -> Optional[np.ndarray]:
+        """Descent direction of the slope model ``d`` on the free block, or
+        None.  The derivative clamp keeps the system solvable when power-law
+        slopes blow up at zero tension (it pins those tensions, their optimum).
+        """
+        if not np.all(d >= 0.0):
+            return None
+        H = block.matrix(d)
+        try:
+            direction = np.linalg.solve(H, -g)
+        except np.linalg.LinAlgError:
+            try:
+                reg = 1e-10 * (1.0 + float(d.max()))
+                direction = np.linalg.solve(H + reg * np.eye(free.size), -g)
+            except np.linalg.LinAlgError:
+                return None
+        return direction if float(g @ direction) < 0.0 else None
+
     degenerate = False
     iterations = 0
-    F, outflow, zeta, mu = evaluate(y)
-    g = outflow[free]
+    y, F, outflow, g_norm, zeta, mu = evaluate(y)
     if free.size:
-        g_norm = float(np.max(np.abs(g)))
         for iterations in range(1, _MAX_ITER + 1):
             if g_norm <= _GRAD_TOL:
                 break
-            # Newton direction on the free block; the derivative clamp keeps
-            # the system solvable when power-law slopes blow up at zero
-            # tension (it pins those tensions, which is their optimum).
-            d = clamped_slopes(zeta, mu)
-            direction = None
-            if np.all(d >= 0.0):
-                H = block.matrix(d)
-                try:
-                    direction = np.linalg.solve(H, -g)
-                except np.linalg.LinAlgError:
-                    try:
-                        reg = 1e-10 * (1.0 + float(d.max()))
-                        direction = np.linalg.solve(
-                            H + reg * np.eye(free.size), -g
-                        )
-                    except np.linalg.LinAlgError:
-                        direction = None
-                if direction is not None and not float(g @ direction) < 0.0:
-                    direction = None
-            if direction is None:
-                direction = -g
-            # A clamped-slope Newton system can pin coordinates that must
-            # move (power-law edges sitting exactly at zero tension); when
-            # the step degenerates to numerically nothing, take a gradient
-            # step to pull those edges off the kink.
-            if float(np.max(np.abs(direction))) < 1e-13 * (
-                1.0 + float(np.max(np.abs(y)))
-            ):
-                direction = -g
-            slope = float(g @ direction)
-            accepted = False
-            step = 1.0
-            for _ in range(_MAX_HALVINGS):
-                y_try = y.copy()
-                y_try[free] += step * direction
-                F_try, outflow_try, zeta_try, mu_try = evaluate(y_try)
-                g_try = outflow_try[free]
-                g_try_norm = float(np.max(np.abs(g_try)))
-                armijo = F_try <= F + _ARMIJO_C * step * slope
-                # Near the minimum the objective drop falls below float
-                # resolution before the gradient does; accept on gradient
-                # decrease as long as the objective does not visibly grow.
-                floor_ok = (
-                    g_try_norm <= 0.9 * g_norm
-                    and F_try <= F + 1e-12 * (1.0 + abs(F))
-                )
-                if armijo or floor_ok:
-                    accepted = True
-                    break
-                step *= 0.5
-            if not accepted:
-                if g_norm <= 1e1 * _GRAD_TOL:
-                    break
-                raise NoConvergence(
-                    f"line search stalled at zeta_pq = {zeta_pq:.6g}, "
-                    f"gradient norm {g_norm:.3e}"
-                )
-            y, F = y_try, F_try
-            g, outflow, zeta, mu = g_try, outflow_try, zeta_try, mu_try
-            g_norm = g_try_norm
+            g = outflow[free]
+            # No accepted step may visibly raise the objective: near the
+            # minimum its drop falls below float resolution before g's does.
+            F_cap = F + 1e-12 * (1.0 + abs(F))
+            exact = exact_slopes(zeta)
+            direction = newton_direction(exact, g)
+            trial = None if direction is None else moved(1.0, direction)
+            if trial is None or trial[3] > 0.5 * g_norm or trial[1] > F_cap:
+                direction = newton_direction(chord_slopes(zeta, mu, exact), g)
+                if direction is None:
+                    direction = -g
+                # A clamped-slope Newton system can pin coordinates that must
+                # move (power-law edges sitting exactly at zero tension); when
+                # the step degenerates to numerically nothing, take a gradient
+                # step to pull those edges off the kink.
+                if np.max(np.abs(direction)) < 1e-13 * (1.0 + np.max(np.abs(y))):
+                    direction = -g
+                slope = float(g @ direction)
+                # Within a decade of the tolerance the float sum of the
+                # cocontent no longer registers progress, so only gradient
+                # decrease counts there.
+                use_armijo = g_norm > 1e1 * _GRAD_TOL
+                step = 1.0
+                for _ in range(_MAX_HALVINGS):
+                    trial = moved(step, direction)
+                    if (use_armijo and trial[1] <= F + _ARMIJO_C * step * slope) or (
+                        trial[3] <= 0.9 * g_norm and trial[1] <= F_cap
+                    ):
+                        break
+                    step *= 0.5
+                else:  # no step accepted: a stall near the tolerance ends the solve
+                    if g_norm <= 1e1 * _GRAD_TOL:
+                        break
+                    raise NoConvergence(
+                        f"line search stalled at zeta_pq = {zeta_pq:.6g}, "
+                        f"gradient norm {g_norm:.3e}"
+                    )
+            y, F, outflow, g_norm, zeta, mu = trial
         else:
             raise NoConvergence(
                 f"no operating point after {_MAX_ITER} iterations at "
@@ -270,7 +285,7 @@ def solve_operating_point(
         # Degeneracy flag: singular Hessian at the solution means interior
         # tensions are not unique (dead-zone flats), though the terminal
         # flow stays unique while the objective is convex.
-        d = clamped_slopes(zeta, mu)
+        d = chord_slopes(zeta, mu, exact_slopes(zeta))
         if np.all(d >= 0.0):
             H = block.matrix(d)
             try:
@@ -331,8 +346,9 @@ def equivalent_edge_function(
 
     For each of the grid's samples (odd count, at least 3, so zero is
     sampled exactly) the operating point is solved and the terminal flow
-    recorded.  Sweeps outward from zero, warm-starting each solve with its
-    neighbor, so the table is deterministic and cheap.
+    recorded.  Sweeps outward from zero, warm-starting each solve from the
+    secant through its two predecessors, so the table is deterministic and
+    cheap.
     """
     grid.validate(min_samples=3, odd=True)
     zetas = grid.points()
@@ -343,7 +359,7 @@ def equivalent_edge_function(
 
     def sweep(indices):
         nonlocal max_residual, degenerate
-        warm = None
+        warm = previous = None
         for i in indices:
             op = solve_operating_point(system, p, q, float(zetas[i]), warm)
             mus[i] = op.terminal_flow
@@ -352,8 +368,13 @@ def equivalent_edge_function(
             max_residual = max(max_residual, relative)
             degenerate = degenerate or op.degenerate
             # The all-zero solution pins power-law edges at their kink, so
-            # it makes a poor predictor; chain warm starts only off-center.
-            warm = op.y if float(zetas[i]) != 0.0 else None
+            # it makes a poor predictor; chain warm starts only off-center,
+            # extrapolating the last two off-center solutions (a secant).
+            if float(zetas[i]) == 0.0:
+                warm = previous = None
+            else:
+                warm = op.y if previous is None else 2.0 * op.y - previous
+                previous = op.y
 
     try:
         sweep(range(mid, grid.samples))

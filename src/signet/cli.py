@@ -6,8 +6,9 @@ byte-identical files.  Only ``classify`` and ``predict`` take
 ``--grid-n``/``--grid-m``: both classify edges on that grid (``GridSpec()``
 by default), and ``predict`` sweeps on it; ``eqfun`` sweeps the config's
 grid.  This module alone writes stderr: ``eqfun`` prints one ``warning:``
-line per edge that may make operating points non-unique, and a failure one
-``error:`` line.  Exit codes: 0 success, 2 validation error, 3 solver failure.
+line per edge that may make operating points non-unique, and a failure,
+a usage error included, one ``error:`` line.  Exit codes: 0 success,
+2 validation or usage error, 3 solver failure.
 """
 
 from __future__ import annotations
@@ -134,8 +135,15 @@ _COMMANDS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as one ``error:`` line with exit code 2."""
+
+    def error(self, message):
+        self.exit(_EXIT_VALIDATION, f"error: usage: {message}\n")
+
+
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="signet",
         description="Simulate and analyze diffusively coupled nonlinear networks.",
     )

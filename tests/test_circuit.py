@@ -1,9 +1,13 @@
 """Operating points, equivalent edge functions, effective resistance."""
 
 import io
+import math
+import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from signet import circuit
 from signet.circuit import (
@@ -14,7 +18,7 @@ from signet.circuit import (
     tellegen_residual,
     total_cocontent,
 )
-from signet.edgefn import DeadZone, GridSpec, Linear, PowerSign, SampledTable
+from signet.edgefn import DeadZone, GridSpec, Linear, PowerSign, SampledTable, Sum
 from signet.errors import (
     Disconnected,
     DimensionMismatch,
@@ -287,3 +291,102 @@ def test_terminal_validation(series_network):
         solve_operating_point(series_network, 0, 3, 1.0)
     with pytest.raises(DimensionMismatch):
         total_cocontent(series_network, np.zeros(3))
+
+
+def _ring_edge(kind, w, x, w_dz):
+    """A ring edge function and the inverse of its (odd, increasing) flow law."""
+    if kind == "power_sign":
+        return PowerSign(w, x), lambda mu: math.copysign((abs(mu) / w) ** (1 / x), mu)
+    if kind == "linear":
+        return Linear(w), lambda mu: mu / w
+
+    def inverse(mu):  # linear w plus a dead zone of weight w_dz and band x
+        m = abs(mu)
+        return math.copysign(m / w if m <= w * x else (m + w_dz * x) / (w + w_dz), mu)
+
+    return Sum((Linear(w), DeadZone(w_dz, x))), inverse
+
+
+def _chain_flow(inverses, zeta):
+    """Flow through a series chain at total tension zeta: the root of
+    sum_k psi_k^-1(mu) = zeta, found by bisection."""
+    def tension(mu):
+        return sum(inv(mu) for inv in inverses)
+
+    lo, hi = -1.0, 1.0
+    while tension(hi) < zeta:
+        hi *= 2.0
+    while tension(lo) > zeta:
+        lo *= 2.0
+    while hi - lo > 1e-14 * max(1.0, abs(lo), abs(hi)):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if tension(mid) < zeta else (lo, mid)
+    return 0.5 * (lo + hi)
+
+
+_ring_edges = st.tuples(
+    st.sampled_from(["power_sign", "linear", "dead_zone"]),
+    st.floats(0.5, 3.0), st.floats(0.3, 0.9), st.floats(0.5, 2.0),
+)
+
+
+@given(n=st.integers(3, 60), data=st.data(), half_width=st.floats(0.5, 30.0))
+@settings(max_examples=25, deadline=None)
+def test_ring_equivalent_function_matches_series_parallel_oracle(n, data, half_width):
+    # On a ring the terminals split the edges into two chains in parallel;
+    # each chain's flow solves the 1-D series equation and the two add.
+    edges = data.draw(st.lists(_ring_edges, min_size=n, max_size=n))
+    p, q = data.draw(st.lists(st.integers(1, n), min_size=2, max_size=2, unique=True))
+    flips = data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    pairs = [(k + 1, (k + 1) % n + 1) for k in range(n)]
+    graph = Graph(n, tuple(
+        Edge(k + 1, *(b, a) if flip else (a, b))
+        for k, ((a, b), flip) in enumerate(zip(pairs, flips))
+    ))
+    fns, inverses = zip(*(_ring_edge(*e) for e in edges))
+    net = NetworkSystem(graph, [Identity()] * n, list(fns))
+    # edge k joins nodes k and k + 1, so walking forward from p to q crosses
+    # edges p .. q - 1 (cyclically) and the other chain holds the rest
+    forward = {(p - 1 + j) % n for j in range((q - p) % n)}
+    chains = ([inverses[k] for k in forward],
+              [inverses[k] for k in range(n) if k not in forward])
+    table = equivalent_edge_function(net, p, q, GridSpec(half_width, 9))
+    expected = [sum(_chain_flow(c, float(z)) for c in chains) for z in table.zetas]
+    np.testing.assert_allclose(table.mus, expected, rtol=1e-9, atol=1e-8)
+
+
+def test_forty_node_power_linear_ring_converges():
+    # Alternating power-law and linear edges drawn from seed 1 in the
+    # benchmark generator's ranges: chord-only Newton steps take 1474
+    # iterations at zeta = 1 and stall at zeta = 2 and 3.
+    rng = random.Random(1)
+    pairs = sorted((min(k, (k + 1) % 40), max(k, (k + 1) % 40)) for k in range(40))
+    graph = Graph(40, tuple(
+        Edge(k + 1, *((a + 1, b + 1) if rng.random() < 0.5 else (b + 1, a + 1)))
+        for k, (a, b) in enumerate(pairs)
+    ))
+    draw = lambda lo, hi: round(rng.uniform(lo, hi), 4)  # noqa: E731
+    fns = [PowerSign(draw(0.5, 3.0), draw(0.3, 0.9)) if k % 2 == 0
+           else Linear(draw(0.5, 2.0)) for k in range(40)]
+    net = NetworkSystem(graph, [Identity()] * 40, fns)
+    flows = [solve_operating_point(net, 1, 20, z).terminal_flow for z in (1, 2, 3)]
+    assert 0.0 < flows[0] < flows[1] < flows[2]
+
+
+@pytest.mark.parametrize("samples", [2001, 401])
+def test_eleven_node_sweep_takes_few_newton_iterations(
+    monkeypatch, eleven_positive_network, samples
+):
+    # 2001 samples: the shipped table; 401: the sweep of ``predict --grid-m
+    # 401`` on f1-f3.  Chord-only Newton steps take 54 and 58 per sample.
+    iterations = []
+
+    def counted(*args):
+        op = solve_operating_point(*args)
+        iterations.append(op.iterations)
+        return op
+
+    monkeypatch.setattr(circuit, "solve_operating_point", counted)
+    equivalent_edge_function(eleven_positive_network, 1, 4, GridSpec(100.0, samples))
+    assert len(iterations) == samples + 1  # zero is solved once per half-sweep
+    assert sum(iterations) / len(iterations) <= 10.0

@@ -412,6 +412,35 @@ def test_cli_grid_flags_only_on_grid_commands(config_dir, tmp_path, command):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--config", "net.json", "--out", "o", "--bogus"],
+    ["simulate", "--out", "o"],
+    ["frobnicate", "--config", "net.json", "--out", "o"],
+])
+def test_cli_usage_errors_print_one_error_line(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(*argv)
+    assert exc.value.code == 2
+    assert_one_error_line(capsys, "usage: ")
+
+
+@pytest.mark.parametrize("edge, w", [(2, -1.0), (1, -2.0)])
+def test_cli_eqfun_fails_fast_on_unbounded_objective(config_dir, tmp_path, capsys, edge, w):
+    # A negative linear edge makes the cocontent unbounded below; the solve
+    # stops at the first non-finite value, with no numpy warning escaping.
+    document = json.loads((config_dir / "three_node_series.json").read_text())
+    document["edges"][edge - 1]["fn"]["w"] = w
+    document["eqfun"]["samples"] = 11
+    cfg = tmp_path / "net.json"
+    cfg.write_text(json.dumps(document))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_cli("eqfun", "--config", cfg, "--out", tmp_path / "o") == 3
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 2 and lines[0].startswith(f"warning: edge {edge}:")
+    assert lines[1].startswith("error: NoConvergence") and "not finite" in lines[1]
+
+
 def test_shipped_configs_all_parse(config_dir):
     for path in sorted(config_dir.glob("*.json")):
         cfg = load_config(path)
@@ -543,8 +572,8 @@ def test_cli_exit_code_contract_under_mutated_configs(fuzz_dir, data):
         runs.append(("eqfun", eqfun_cfg))
     for command, path, *extra in runs:
         err = io.StringIO()
-        # Shipped sweeps need at most 67 Newton iterations per sample; a
-        # nonconvex mutation would spend 10^4 before failing with exit 3.
+        # Shipped sweeps at 11 samples need at most 9 Newton iterations per
+        # sample; a bounded nonconvex mutation could spend 10^4 before exit 3.
         with contextlib.redirect_stderr(err), mock.patch.object(circuit, "_MAX_ITER", 300):
             code = run_cli(command, "--config", path, "--out", fuzz_dir / "out", *extra)
         assert code in (0, 2, 3)
