@@ -14,12 +14,14 @@ while they halve the gradient (quadratic convergence away from power-law
 kinks), else a chord-majorized (Kacanov-type) Newton step with an Armijo
 backtracking line search, and a gradient step where the Hessian is
 unavailable (dead-zone flats) or unbounded (power laws at zero tension).
-Sweeps predict each sample by a secant through the previous two.
+Sweeps predict each sample by a secant through the previous two.  Only a
+read of an operating point's degeneracy flag factorizes its Hessian.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import functools
+from dataclasses import dataclass, field
 from typing import Optional, TextIO
 
 import numpy as np
@@ -52,7 +54,8 @@ class OperatingPoint:
     Arrays cover the augmented edge set: the real edges in id order plus the
     virtual terminal edge (oriented p -> q) last.  ``terminal_flow`` is the
     flow entering the network at p, i.e. the equivalent edge function value;
-    the virtual edge itself carries the negative of it.
+    the virtual edge itself carries the negative of it.  ``degenerate`` is
+    computed from the network the point was solved on when first read.
     """
 
     y: np.ndarray
@@ -61,7 +64,23 @@ class OperatingPoint:
     terminal_flow: float
     terminals: tuple[int, int]
     iterations: int
-    degenerate: bool
+    _system: NetworkSystem = field(compare=False, repr=False)
+
+    @functools.cached_property
+    @np.errstate(divide="ignore", invalid="ignore", over="ignore")
+    def degenerate(self) -> bool:
+        """Singular Hessian at the point: interior tensions are not unique
+        (dead-zone flats), though the terminal flow stays unique while the
+        objective is convex."""
+        block = self._system.reduced_laplacian(*self.terminals)
+        d = _chord_slopes(self.zeta, self.mu, _exact_slopes(self._system, self.zeta))
+        if not (block.size and np.all(d >= 0.0)):
+            return False
+        try:
+            np.linalg.cholesky(block.matrix(d))
+        except np.linalg.LinAlgError:
+            return True
+        return False
 
     @property
     def zeta(self) -> np.ndarray:
@@ -120,17 +139,35 @@ def check_equivalent_edge_preconditions(system: NetworkSystem) -> list[str]:
     return messages
 
 
+def _exact_slopes(system: NetworkSystem, zeta: np.ndarray) -> np.ndarray:
+    """Pointwise edge derivatives, clamped for the Newton system."""
+    d = system._slope(zeta)
+    return np.minimum(np.where(np.isfinite(d), d, _DERIV_CLAMP), _DERIV_CLAMP)
+
+
+def _chord_slopes(zeta: np.ndarray, mu: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """Larger of the clamped derivative ``d`` and the chord slope mu/zeta.
+
+    For concave flow laws (power functions) the chord majorizes the
+    curvature toward the origin, which stops Newton from zigzagging across
+    the kink; for linear edges the two coincide.
+    """
+    chord = np.where(np.abs(zeta) > 1e-300, mu / zeta, d)
+    chord = np.where(np.isfinite(chord), chord, d)
+    return np.minimum(np.maximum(d, chord), _DERIV_CLAMP)
+
+
 def _harmonic_start(
     system: NetworkSystem, block: ReducedLaplacian, p: int, zeta_pq: float
 ) -> np.ndarray:
     """Initial potentials: unweighted harmonic interpolation of the terminals.
 
     Keeps interior tensions away from zero so power-law edges start with a
-    finite slope.
+    finite slope.  At zero tension that is exactly y = 0.
     """
     y = np.zeros(system.node_count)
     y[p - 1] = zeta_pq
-    if block.size:
+    if block.size and zeta_pq != 0.0:
         L = block.matrix(np.ones(system.edge_count))
         rhs = np.bincount(block.pinned, minlength=block.size) * zeta_pq
         y[block.free] = np.linalg.solve(L, rhs)
@@ -176,7 +213,7 @@ def solve_operating_point(
         y[q - 1] = 0.0
 
     n, tail, head = system.node_count, system.tail, system.head
-    flow, cocontent, derivative = system._flow, system._cocontent, system._slope
+    flow, cocontent = system._flow, system._cocontent
 
     def evaluate(yv: np.ndarray):
         """(yv, objective, net outflow E mu per node, its max |.| over the
@@ -198,22 +235,6 @@ def solve_operating_point(
         y_try[free] += step * direction
         return evaluate(y_try)
 
-    def exact_slopes(zeta: np.ndarray) -> np.ndarray:
-        """Pointwise edge derivatives, clamped for the Newton system."""
-        d = derivative(zeta)
-        return np.minimum(np.where(np.isfinite(d), d, _DERIV_CLAMP), _DERIV_CLAMP)
-
-    def chord_slopes(zeta: np.ndarray, mu: np.ndarray, d: np.ndarray) -> np.ndarray:
-        """Larger of the clamped derivative ``d`` and the chord slope mu/zeta.
-
-        For concave flow laws (power functions) the chord majorizes the
-        curvature toward the origin, which stops Newton from zigzagging
-        across the kink; for linear edges the two coincide.
-        """
-        chord = np.where(np.abs(zeta) > 1e-300, mu / zeta, d)
-        chord = np.where(np.isfinite(chord), chord, d)
-        return np.minimum(np.maximum(d, chord), _DERIV_CLAMP)
-
     def newton_direction(d: np.ndarray, g: np.ndarray) -> Optional[np.ndarray]:
         """Descent direction of the slope model ``d`` on the free block, or
         None.  The derivative clamp keeps the system solvable when power-law
@@ -232,7 +253,6 @@ def solve_operating_point(
                 return None
         return direction if float(g @ direction) < 0.0 else None
 
-    degenerate = False
     iterations = 0
     y, F, outflow, g_norm, zeta, mu = evaluate(y)
     if free.size:
@@ -243,11 +263,11 @@ def solve_operating_point(
             # No accepted step may visibly raise the objective: near the
             # minimum its drop falls below float resolution before g's does.
             F_cap = F + 1e-12 * (1.0 + abs(F))
-            exact = exact_slopes(zeta)
+            exact = _exact_slopes(system, zeta)
             direction = newton_direction(exact, g)
             trial = None if direction is None else moved(1.0, direction)
             if trial is None or trial[3] > 0.5 * g_norm or trial[1] > F_cap:
-                direction = newton_direction(chord_slopes(zeta, mu, exact), g)
+                direction = newton_direction(_chord_slopes(zeta, mu, exact), g)
                 if direction is None:
                     direction = -g
                 # A clamped-slope Newton system can pin coordinates that must
@@ -264,7 +284,9 @@ def solve_operating_point(
                 step = 1.0
                 for _ in range(_MAX_HALVINGS):
                     trial = moved(step, direction)
-                    if (use_armijo and trial[1] <= F + _ARMIJO_C * step * slope) or (
+                    # Armijo needs a decrease F can represent (at a kink it can't).
+                    target = F + _ARMIJO_C * step * slope
+                    if (use_armijo and trial[1] <= target < F) or (
                         trial[3] <= 0.9 * g_norm and trial[1] <= F_cap
                     ):
                         break
@@ -282,16 +304,6 @@ def solve_operating_point(
                 f"no operating point after {_MAX_ITER} iterations at "
                 f"zeta_pq = {zeta_pq:.6g}"
             )
-        # Degeneracy flag: singular Hessian at the solution means interior
-        # tensions are not unique (dead-zone flats), though the terminal
-        # flow stays unique while the objective is convex.
-        d = chord_slopes(zeta, mu, exact_slopes(zeta))
-        if np.all(d >= 0.0):
-            H = block.matrix(d)
-            try:
-                np.linalg.cholesky(H)
-            except np.linalg.LinAlgError:
-                degenerate = True
 
     terminal_flow = float(outflow[p - 1])
     zeta_bar = np.append(zeta, zeta_pq)
@@ -303,7 +315,7 @@ def solve_operating_point(
         terminal_flow=terminal_flow,
         terminals=(p, q),
         iterations=iterations,
-        degenerate=degenerate,
+        _system=system,
     )
 
 
@@ -320,7 +332,6 @@ class EquivalentEdgeTable:
     mus: np.ndarray
     terminals: tuple[int, int]
     max_tellegen_residual: float = 0.0
-    degenerate: bool = False
 
     def __post_init__(self):
         z = np.asarray(self.zetas, dtype=float)
@@ -345,8 +356,8 @@ def equivalent_edge_function(
     """Sample the equivalent edge function at the grid's terminal tensions.
 
     For each of the grid's samples (odd count, at least 3, so zero is
-    sampled exactly) the operating point is solved and the terminal flow
-    recorded.  Sweeps outward from zero, warm-starting each solve from the
+    sampled exactly and solved without a linear system) the operating point
+    is solved and the terminal flow recorded.  Sweeps outward from zero, warm-starting each solve from the
     secant through its two predecessors, so the table is deterministic and
     cheap.
     """
@@ -355,10 +366,9 @@ def equivalent_edge_function(
     mus = np.zeros(grid.samples)
     mid = grid.samples // 2
     max_residual = 0.0
-    degenerate = False
 
     def sweep(indices):
-        nonlocal max_residual, degenerate
+        nonlocal max_residual
         warm = previous = None
         for i in indices:
             op = solve_operating_point(system, p, q, float(zetas[i]), warm)
@@ -366,7 +376,6 @@ def equivalent_edge_function(
             scale = float(np.linalg.norm(op.mu_bar) * np.linalg.norm(op.zeta_bar))
             relative = tellegen_residual(op) / (scale if scale > 0 else 1.0)
             max_residual = max(max_residual, relative)
-            degenerate = degenerate or op.degenerate
             # The all-zero solution pins power-law edges at their kink, so
             # it makes a poor predictor; chain warm starts only off-center,
             # extrapolating the last two off-center solutions (a secant).
@@ -386,7 +395,6 @@ def equivalent_edge_function(
         mus=mus,
         terminals=(p, q),
         max_tellegen_residual=max_residual,
-        degenerate=degenerate,
     )
 
 

@@ -68,7 +68,11 @@ class GridSpec:
             )
 
     def points(self) -> np.ndarray:
-        return np.linspace(-self.n, self.n, self.samples)
+        """The samples; an odd count has an exact zero in the middle."""
+        z = np.linspace(-self.n, self.n, self.samples)
+        if self.samples % 2:
+            z[self.samples // 2] = 0.0
+        return z
 
 
 # Where an edge function without a closed-form zero set is scanned for zeros.

@@ -3,10 +3,11 @@
 import io
 import math
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from signet import circuit
@@ -18,6 +19,7 @@ from signet.circuit import (
     tellegen_residual,
     total_cocontent,
 )
+from signet.config import load_config
 from signet.edgefn import DeadZone, GridSpec, Linear, PowerSign, SampledTable, Sum
 from signet.errors import (
     Disconnected,
@@ -80,6 +82,107 @@ def test_dead_zone_flat_region_degenerate_flag():
     op = solve_operating_point(net, 1, 3, 1.0)
     assert op.terminal_flow == pytest.approx(0.0, abs=1e-12)
     assert op.degenerate
+    assert _reference_degenerate(net, 1, 3, op.zeta, op.mu)
+
+
+def _reference_degenerate(net, p, q, zeta, mu):
+    """Reference for ``OperatingPoint.degenerate``: Cholesky of the reduced
+    Laplacian at the clamped chord slopes; False when no node is free or a
+    slope is negative."""
+    clamp = circuit._DERIV_CLAMP
+    with np.errstate(divide="ignore", invalid="ignore"):
+        d = net.slope(zeta)
+        d = np.minimum(np.where(np.isfinite(d), d, clamp), clamp)
+        chord = np.where(np.abs(zeta) > 1e-300, mu / zeta, d)
+    chord = np.where(np.isfinite(chord), chord, d)
+    d = np.minimum(np.maximum(d, chord), clamp)
+    block = net.reduced_laplacian(p, q)
+    if not block.size or not np.all(d >= 0.0):
+        return False
+    try:
+        np.linalg.cholesky(block.matrix(d))
+    except np.linalg.LinAlgError:
+        return True
+    return False
+
+
+_mixed_edges = st.one_of(
+    st.builds(Linear, st.floats(0.5, 2.0)),
+    st.builds(DeadZone, st.floats(0.5, 2.0), st.floats(0.5, 2.0)),
+    st.builds(PowerSign, st.floats(0.5, 3.0), st.floats(0.3, 0.9)),
+    st.builds(lambda w, w_dz, band: Sum((Linear(w), DeadZone(w_dz, band))),
+              st.floats(0.2, 1.0), st.floats(0.5, 2.0), st.floats(0.5, 2.0)),
+)
+
+
+@st.composite
+def _small_networks(draw):
+    """(system, p, q, zeta_pq): a random tree on 2-6 nodes plus up to three
+    chords, each edge linear, dead-zone, power-law or linear + dead zone."""
+    n = draw(st.integers(2, 6))
+    pairs = {(draw(st.integers(1, k - 1)), k) for k in range(2, n + 1)}
+    chords = [(a, b) for a in range(1, n + 1) for b in range(a + 1, n + 1)]
+    pairs |= set(draw(st.lists(st.sampled_from(chords), max_size=3)))
+    edges = tuple(
+        Edge(k + 1, *((b, a) if draw(st.booleans()) else (a, b)))
+        for k, (a, b) in enumerate(sorted(pairs))
+    )
+    fns = draw(st.lists(_mixed_edges, min_size=len(edges), max_size=len(edges)))
+    p, q = draw(st.lists(st.integers(1, n), min_size=2, max_size=2, unique=True))
+    zeta = draw(st.sampled_from([0.0, 1.0]) | st.floats(-5.0, 5.0))
+    return NetworkSystem(Graph(n, edges), [Identity()] * n, fns), p, q, zeta
+
+
+@given(case=_small_networks())
+@example(case=(dz_linear_series(), 1, 3, 0.5))
+@example(case=(
+    NetworkSystem(Graph(3, (Edge(1, 1, 2), Edge(2, 2, 3))), [Identity()] * 3,
+                  [DeadZone(1.0, 1.0), DeadZone(1.0, 1.0)]),
+    1, 3, 1.0,
+))
+@settings(max_examples=60, deadline=None)
+def test_lazy_degenerate_flag_matches_cholesky_reference(case):
+    net, p, q, zeta = case
+    try:
+        op = solve_operating_point(net, p, q, zeta)
+    except NoConvergence:
+        assume(False)
+    expected = _reference_degenerate(net, p, q, op.zeta, op.mu)
+    assert op.degenerate is expected
+
+
+def test_solves_factorize_only_when_the_flag_is_read(monkeypatch, series_network):
+    calls = {"cholesky": 0, "solve": 0}
+
+    def counting(name, fn):
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return counted
+
+    for name in calls:
+        monkeypatch.setattr(np.linalg, name, counting(name, getattr(np.linalg, name)))
+    equivalent_edge_function(series_network, 1, 3, GridSpec(10.0, 101))
+    assert calls["cholesky"] == 0
+    op = solve_operating_point(series_network, 1, 3, 2.0)
+    assert not op.degenerate
+    assert not op.degenerate  # cached
+    assert calls["cholesky"] == 1
+    calls["solve"] = 0
+    op = solve_operating_point(series_network, 1, 3, 0.0)
+    assert calls["solve"] == 0 and op.iterations == 1
+
+
+def test_kink_stall_fails_in_one_line_search(monkeypatch):
+    # A 60-node random graph of alternating power-law and linear edges
+    # (seed 3 of the benchmark generator's ranges): the optimum at zeta_pq =
+    # 0.2 puts a power-law edge exactly at its kink.  There the predicted
+    # decrease of a step rounds away in F; an Armijo test that accepted
+    # such steps would spend all of _MAX_ITER without progress.
+    cfg = load_config(Path(__file__).parent / "data" / "kink_power_linear_60.json")
+    monkeypatch.setattr(circuit, "_MAX_ITER", 30)
+    with pytest.raises(NoConvergence, match="line search stalled"):
+        solve_operating_point(cfg.build_system(), cfg.eqfun.p, cfg.eqfun.q, 0.2)
 
 
 def test_solver_iteration_cap(monkeypatch):

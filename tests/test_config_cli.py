@@ -494,10 +494,17 @@ json_numbers = (
     st.integers(-1000, 1000) | st.floats(-1e3, 1e3)
     | st.sampled_from([0, 0.0, -0.0, 1e-300, 1e308, float("nan"), float("inf"), -float("inf")])
 )
+
+
+def _json_containers(inner):
+    # A named function: hypothesis reads a multi-line lambda's source to
+    # check that it recurses, and sometimes misreads it.
+    return st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3)
+
+
 json_values = st.recursive(
     st.none() | st.booleans() | st.text(max_size=4) | json_numbers,
-    lambda inner: st.lists(inner, max_size=3)
-    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    _json_containers,
     max_leaves=6,
 )
 

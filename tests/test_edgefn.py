@@ -154,6 +154,21 @@ def test_invalid_grids_rejected():
         classify_sign(Linear(1.0), GridSpec(10.0, 51))
 
 
+def test_odd_grid_points_sample_zero_exactly_example():
+    # linspace puts the middle of this grid at 1.42e-14, not at zero.
+    assert GridSpec(123.456, 11).points()[5] == 0.0
+
+
+@given(n=st.floats(1e-6, 1e6), half=st.integers(1, 2000))
+@settings(max_examples=200, deadline=None)
+def test_odd_grid_points_sample_zero_exactly(n, half):
+    samples = 2 * half + 1
+    z = GridSpec(n, samples).points()
+    assert z[half] == 0.0 and not np.signbit(z[half])
+    reference = np.linspace(-n, n, samples)
+    assert np.array_equal(np.delete(z, half), np.delete(reference, half))
+
+
 def test_equilibria_examples():
     iv = DeadZone(1.0, 1.0).equilibria()
     assert (iv.lower, iv.upper) == (-1.0, 1.0)
