@@ -9,6 +9,17 @@ function).  Unknown keys are rejected everywhere so typos fail loudly.
 The analytic edge kinds, the node kinds, ``sim`` and ``eqfun`` take their
 keys, types, defaults and checks (finiteness included) from the dataclass
 each builds.  Edge functions nest at most ``_MAX_NESTING`` levels deep.
+
+The edge list, by far the largest section, is read a column at a time
+(``_edge_columns``): each check runs once over all edges, the parameters of
+each flat analytic kind through that kind's one validator
+(``edgefn.parameter_violation``), and the edge objects are then made
+without checking them again.  Nested kinds take the recursive reader.  A
+list with a malformed edge is read again edge by edge (``_edge_rows``),
+which raises the error of the first malformed edge by list position; the
+graph's own checks (ids, self-loops, node ranges) come after those.  A
+node count above edges + 1 cannot form a connected graph and is rejected
+before anything is allocated per node.
 """
 
 from __future__ import annotations
@@ -18,6 +29,8 @@ import json
 import math
 from collections.abc import Set
 from dataclasses import MISSING, dataclass, fields
+from itertools import chain, repeat
+from operator import itemgetter
 from pathlib import Path
 from typing import Optional
 
@@ -28,7 +41,7 @@ from . import nodes as nd
 from .edgefn import GridSpec
 from .errors import ParseError, ValidationError
 from .graph import Edge, Graph
-from .network import NetworkSystem
+from .network import NOT_CONNECTED, NetworkSystem
 from .sim import SimConfig
 
 _EDGE_KINDS = {"linear": ef.Linear, "dead_zone": ef.DeadZone,
@@ -39,6 +52,9 @@ _NODE_KINDS = {"identity": nd.Identity, "sign_power": nd.SignPower,
 # network is built; the shipped configs nest 2 levels.
 _MAX_NESTING = 32
 _EDGE_KEYS = frozenset({"id", "tail", "head", "fn"})
+_EDGE_ENDS = itemgetter("id", "tail", "head")
+_FN = itemgetter("fn")
+_NUMBER_TYPES = frozenset({int, float})
 
 
 @dataclass(frozen=True)
@@ -105,9 +121,16 @@ def _number(obj, where: str) -> float:
 
 
 def _numbers(obj, where: str) -> np.ndarray:
-    """A JSON list of numbers as a float array."""
+    """A JSON list of numbers as a float array, converted in one call unless
+    some entry needs ``_number`` (a non-number, or an int beyond the float
+    range)."""
     if not isinstance(obj, list):
         raise ValidationError(f"{where}: expected a list of numbers")
+    if set(map(type, obj)) <= _NUMBER_TYPES:
+        try:
+            return np.array(obj, dtype=float)
+        except OverflowError:
+            pass
     return np.array([_number(v, f"{where}[{i}]") for i, v in enumerate(obj)])
 
 
@@ -179,6 +202,75 @@ def _edge_function(
     raise ValidationError(f"{where}: unknown edge function kind {kind!r}")
 
 
+def _edge_rows(specs: list, base_dir: Optional[Path]) -> tuple[list, list]:
+    """The edges and their functions in list order, read one edge at a time,
+    raising the error of the first malformed edge."""
+    edges, fns = [], []
+    for i, e in enumerate(specs):
+        where = f"edges[{i}]"
+        _require_keys(e, _EDGE_KEYS, _EDGE_KEYS, where)
+        edges.append(
+            Edge(
+                _integer(e["id"], where + ".id"),
+                _integer(e["tail"], where + ".tail"),
+                _integer(e["head"], where + ".head"),
+            )
+        )
+        fns.append(_edge_function(e["fn"], where + ".fn", base_dir))
+    return edges, fns
+
+
+def _edge_columns(specs: list, base_dir: Optional[Path]) -> Optional[tuple[list, list]]:
+    """What ``_edge_rows`` returns, read a column at a time, or None when some
+    edge is malformed.
+
+    Each check runs once over a column: the keys and integers of all edges,
+    then per flat analytic kind the keys, numbers and parameters
+    (``edgefn.parameter_violation``) of its edges, whose objects are then
+    made without checking them again.  Other kinds take ``_edge_function``.
+    """
+    try:
+        edges = list(map(Edge._make, map(_EDGE_ENDS, specs)))
+        fn_specs = list(map(_FN, specs))
+        positions: dict = {}
+        for i, kind in enumerate(map(dict.get, fn_specs, repeat("kind"))):
+            positions.setdefault(kind, []).append(i)
+    except (KeyError, TypeError):  # not an object, a missing key, a list as kind
+        return None
+    if set(map(len, specs)) != {len(_EDGE_KEYS)}:
+        return None
+    if set(map(type, chain.from_iterable(edges))) != {int}:
+        return None
+    fns: list = [None] * len(specs)
+    for kind, at in positions.items():
+        cls = _EDGE_KINDS.get(kind)
+        group = [fn_specs[i] for i in at]
+        if cls is None:
+            try:
+                for i, spec in zip(at, group):
+                    fns[i] = _edge_function(spec, f"edges[{i}].fn", base_dir)
+            except ValidationError:
+                return None
+            continue
+        _, allowed, required = _schema(cls, True)
+        if not all(required <= set(keys) <= allowed for keys in set(map(tuple, group))):
+            return None
+        try:
+            columns = {
+                f.name: _numbers(
+                    list(map(dict.get, group, repeat(f.name), repeat(f.default))), f.name
+                )
+                for f in fields(cls)
+            }
+        except ValidationError:
+            return None
+        if ef.parameter_violation(cls, columns) is not None:
+            return None
+        for i, fn in zip(at, ef.unchecked(cls, columns)):
+            fns[i] = fn
+    return edges, fns
+
+
 def _dynamics(spec, where: str) -> nd.NodeDynamics:
     kind = spec.get("kind") if isinstance(spec, dict) else None
     if not (isinstance(kind, str) and kind in _NODE_KINDS):
@@ -222,25 +314,17 @@ def parse_config(text: str, base_dir: Optional[Path] = None) -> NetworkConfig:
             _dynamics(d, f"nodes.dynamics[{i}]") for i, d in enumerate(dyn_spec)
         )
     else:
-        dynamics = (_dynamics(dyn_spec, "nodes.dynamics"),) * count
+        shared = _dynamics(dyn_spec, "nodes.dynamics")
 
-    if not isinstance(doc["edges"], list) or not doc["edges"]:
+    specs = doc["edges"]
+    if not isinstance(specs, list) or not specs:
         raise ValidationError("edges: expected a non-empty list")
-    edges = []
-    fns = {}
-    for i, e in enumerate(doc["edges"]):
-        where = f"edges[{i}]"
-        _require_keys(e, _EDGE_KEYS, _EDGE_KEYS, where)
-        edges.append(
-            Edge(
-                _integer(e["id"], where + ".id"),
-                _integer(e["tail"], where + ".tail"),
-                _integer(e["head"], where + ".head"),
-            )
-        )
-        fns[edges[-1].id] = _edge_function(e["fn"], where + ".fn", base_dir)
+    edges, fns = _edge_columns(specs, base_dir) or _edge_rows(specs, base_dir)
     # The graph checks ids and ranges and sorts the edges by id.
-    graph = Graph(count, tuple(edges))
+    listed = tuple(edges)
+    graph = Graph(count, listed)
+    if graph.edges != listed:
+        fns = [fn for _, fn in sorted(zip((e.id for e in listed), fns), key=itemgetter(0))]
 
     sim_cfg = _build(SimConfig, doc["sim"], "sim") if "sim" in doc else None
 
@@ -256,10 +340,18 @@ def parse_config(text: str, base_dir: Optional[Path] = None) -> NetworkConfig:
         for v in (eqfun_spec.p, eqfun_spec.q):
             graph.node(v, "eqfun terminal")
 
+    # A connected graph has at most one node more than it has edges.  The
+    # system would reject more nodes anyway; rejecting them here, with its
+    # message, spares allocating anything per node.
+    if count > graph.edge_count + 1:
+        raise ValidationError(NOT_CONNECTED)
+    if not isinstance(dyn_spec, list):
+        dynamics = (shared,) * count
+
     return NetworkConfig(
         graph=graph,
         dynamics=dynamics,
-        edge_functions=tuple(fns[e.id] for e in graph.edges),
+        edge_functions=tuple(fns),
         sim=sim_cfg,
         initial_state=initial_state,
         eqfun=eqfun_spec,

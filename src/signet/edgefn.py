@@ -160,18 +160,58 @@ def power(base: FloatOrArray, exponent: FloatOrArray) -> FloatOrArray:
     return base ** exponent
 
 
-# The fields of a dataclass kind, looked up once per kind.
-_kind_fields = functools.cache(fields)
+@functools.cache
+def _parameter_checks(kind: type) -> tuple:
+    """(field, test, message) of each check on a dataclass kind's parameters,
+    in the order they run: every float field finite, then the kind's own
+    ``_bounds``.  A test maps an array of values to an array of passes."""
+    finite = tuple(
+        (f.name, np.isfinite, f"{kind.__name__}.{f.name} must be finite, got {{!r}}")
+        for f in fields(kind)
+        if f.type in ("float", float)
+    )
+    return finite + getattr(kind, "_bounds", ())
 
 
-def check_finite_parameters(obj) -> None:
-    """Raise ValidationError when a float field of a dataclass is NaN or inf."""
-    for f in _kind_fields(type(obj)):
-        value = getattr(obj, f.name)
-        if isinstance(value, float) and not math.isfinite(value):
-            raise ValidationError(
-                f"{type(obj).__name__}.{f.name} must be finite, got {value!r}"
-            )
+def parameter_violation(kind: type, columns) -> Optional[tuple[int, str]]:
+    """Row and message of the first invalid row of a kind's parameters.
+
+    ``columns`` maps every checked field name to a 1-d array with one value
+    per row.  The message names the first check that the row fails, in the
+    order of ``_parameter_checks``.  None when every row passes.
+    """
+    checks = _parameter_checks(kind)
+    if not checks:
+        return None
+    failed = [~test(columns[name]) for name, test, _ in checks]
+    bad = np.logical_or.reduce(failed)
+    if not bad.any():
+        return None
+    row = int(bad.argmax())
+    name, _, message = next(c for c, f in zip(checks, failed) if f[row])
+    return row, message.format(columns[name][row].item())
+
+
+def check_parameters(obj) -> None:
+    """ValidationError from the first failed check of one object's parameters."""
+    columns = {
+        name: np.array([getattr(obj, name)]) for name, _, _ in _parameter_checks(type(obj))
+    }
+    found = parameter_violation(type(obj), columns)
+    if found is not None:
+        raise ValidationError(found[1])
+
+
+def unchecked(kind: type, columns) -> list:
+    """One object of a dataclass kind per row of parameter columns that
+    ``parameter_violation`` passed, made without ``__post_init__``; the
+    fields hold the rows' values as Python floats."""
+    values = [np.asarray(c, dtype=float).tolist() for c in columns.values()]
+    objs = [object.__new__(kind) for _ in values[0]]
+    for name, column in zip(columns, values):
+        for obj, value in zip(objs, column):
+            object.__setattr__(obj, name, value)
+    return objs
 
 
 class EdgeFunction:
@@ -182,11 +222,13 @@ class EdgeFunction:
     dataclass kind whose fields are declared ``float`` with one call on an
     instance whose fields are arrays over those edges, built without
     ``__post_init__``; such kinds must broadcast their parameters against
-    the tensions.
+    the tensions.  Their parameter checks are the class attribute
+    ``_bounds`` plus finiteness, run by ``parameter_violation`` on one
+    object here and on a column per field when a config is read.
     """
 
     def __post_init__(self):
-        check_finite_parameters(self)
+        check_parameters(self)
 
     def __call__(self, zeta: FloatOrArray) -> FloatOrArray:
         raise NotImplementedError
@@ -235,11 +277,7 @@ class DeadZone(EdgeFunction):
 
     w: float
     band: float = 1.0
-
-    def __post_init__(self):
-        super().__post_init__()
-        if not (self.band > 0):
-            raise ValidationError(f"dead zone band must be > 0, got {self.band}")
+    _bounds = (("band", lambda band: band > 0, "dead zone band must be > 0, got {}"),)
 
     def __call__(self, zeta: FloatOrArray) -> FloatOrArray:
         return np.copysign(np.maximum(np.abs(zeta) - self.band, 0.0), zeta) * self.w
@@ -269,13 +307,10 @@ class PowerSign(EdgeFunction):
 
     w: float
     alpha: float
-
-    def __post_init__(self):
-        super().__post_init__()
-        if not (0.0 < self.alpha < 1.0):
-            raise ValidationError(
-                f"power exponent must lie in (0, 1), got {self.alpha}"
-            )
+    _bounds = ((
+        "alpha", lambda alpha: (0.0 < alpha) & (alpha < 1.0),
+        "power exponent must lie in (0, 1), got {}",
+    ),)
 
     def __call__(self, zeta: FloatOrArray) -> FloatOrArray:
         return np.copysign(power(np.abs(zeta), self.alpha), zeta) * self.w
@@ -425,6 +460,24 @@ class SampledTable(EdgeFunction):
 
     def derivative(self, zeta: FloatOrArray) -> FloatOrArray:
         return self._knots[2][self._breaks.searchsorted(zeta, side="right")]
+
+    def negated(self) -> "SampledTable":
+        """The table of -psi, made from these validated knots without checking
+        them again.  Negation is exact, so each knot array equals (==) the
+        one that the negated samples give, and each value that of
+        ``Negated(self)``."""
+        z, m, s, prefix = self._knots
+        knots = (z, -m, -s, -prefix)
+        for a in knots[1:]:
+            a.flags.writeable = False
+        neg = object.__new__(SampledTable)
+        for name, value in (
+            ("zetas", self.zetas), ("mus", tuple(knots[1].tolist())),
+            ("_breaks", self._breaks), ("_knots", knots),
+            ("_zero_cocontent", -self._zero_cocontent),
+        ):
+            object.__setattr__(neg, name, value)
+        return neg
 
     def equilibria(self) -> EquilibriaInterval:
         z, m, s, _ = self._knots

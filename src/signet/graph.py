@@ -7,17 +7,25 @@ stored as edge lists.  The dense incidence matrix is formed only on request,
 as a reference for small graphs; the simulation and solver paths work on
 edge index arrays instead (see ``NetworkSystem``).
 
-The predictors' graph queries run in linear or near-linear time: biconnected
+A graph checks its edges in one pass when it is built (dense ids, no
+self-loops, endpoints in range), and keeps an edge tuple that is already
+in id order as it is.
+
+The predictors' graph queries run in linear or near-linear time: a
+disjoint-set forest (Tarjan 1975) gives connected components, biconnected
 blocks (Tarjan 1972) decide which edges share a cycle and read off the only
 cycle through an edge, and Dijkstra's algorithm (1959) gives least path
-costs.  Simple-path and cycle enumeration is exponential, guarded by an
-explicit node-count cap, and kept as the test oracle for those queries.
+costs.  Only the queries whose answer depends on the order of the edges at
+a node build sorted adjacency lists.  Simple-path and cycle enumeration is
+exponential, guarded by an explicit node-count cap, and kept as the test
+oracle for those queries.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -83,14 +91,21 @@ class Graph:
     def __post_init__(self):
         if self.node_count < 1:
             raise ValidationError("graph needs at least one node")
-        edges = tuple(sorted((Edge(*e) for e in self.edges), key=lambda e: e.id))
-        if [e.id for e in edges] != list(range(1, len(edges) + 1)):
-            raise ValidationError("edge ids must be unique and dense (1..|E|)")
-        for e in edges:
-            if e.tail == e.head:
-                raise ValidationError(f"edge {e.id} is a self-loop")
-            for v in (e.tail, e.head):
-                self.node(v, f"edge {e.id} endpoint")
+        edges = self.edges
+        if type(edges) is not tuple or not set(map(type, edges)) <= {Edge}:
+            edges = tuple(map(Edge._make, edges))
+        dense = list(range(1, len(edges) + 1))
+        if list(map(itemgetter(0), edges)) != dense:
+            edges = tuple(sorted(edges, key=itemgetter(0)))
+            if [e.id for e in edges] != dense:
+                raise ValidationError("edge ids must be unique and dense (1..|E|)")
+        n = self.node_count
+        for k, tail, head in edges:
+            if tail == head:
+                raise ValidationError(f"edge {k} is a self-loop")
+            if not (1 <= tail <= n and 1 <= head <= n):
+                for v in (tail, head):
+                    self.node(v, f"edge {k} endpoint")
         object.__setattr__(self, "edges", edges)
 
     @property
@@ -150,31 +165,34 @@ def _adjacency(g: Graph, keep: Optional[Callable[[Edge], bool]]):
         adj[v].sort(key=lambda item: (item[1].id, item[0]))
     return adj
 
+
 def connected_components(
     g: Graph, edge_filter: Optional[Callable[[Edge], bool]] = None
 ) -> list[list[int]]:
     """Partition of the nodes under the edges passing ``edge_filter``.
 
     Two nodes share a block iff they are joined by a path of kept edges.
-    Blocks are sorted internally and listed by their smallest node.
+    Blocks are sorted internally and listed by their smallest node.  A
+    disjoint-set forest (Tarjan 1975) with path halving, in which the root
+    of every set is its smallest node: a union hangs the larger root below
+    the smaller one, so every other node has a parent below it, and one
+    ascending pass resolves every node to its root.
     """
-    adj = _adjacency(g, edge_filter)
-    seen: set[int] = set()
-    blocks: list[list[int]] = []
-    for root in range(1, g.node_count + 1):
-        if root in seen:
-            continue
-        stack, block = [root], []
-        seen.add(root)
-        while stack:
-            v = stack.pop()
-            block.append(v)
-            for w, _ in adj[v]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        blocks.append(sorted(block))
-    return blocks
+    parent = list(range(g.node_count + 1))
+    for _, a, b in g.edges if edge_filter is None else filter(edge_filter, g.edges):
+        while parent[a] != a:
+            parent[a] = a = parent[parent[a]]
+        while parent[b] != b:
+            parent[b] = b = parent[parent[b]]
+        if a < b:
+            parent[b] = a
+        elif b < a:
+            parent[a] = b
+    blocks: dict[int, list[int]] = {}
+    for v in range(1, g.node_count + 1):
+        parent[v] = root = parent[parent[v]]
+        blocks.setdefault(root, []).append(v)
+    return list(blocks.values())
 
 
 def is_connected(g: Graph) -> bool:

@@ -15,7 +15,11 @@ the members of a group are stacked into one object of that kind whose
 float parameters are arrays, so flow, cocontent, slope and the node drifts
 each cost one numpy call per group on arrays of shape (..., m) or (..., n).
 A single group covering every edge is called directly, without a gather
-and scatter.
+and scatter.  Grouping reads only the type of each object unless some kind
+nests or has other than float parameters; a sampled table is keyed by
+identity and a negated one stacks as a table with negated knots, so
+neither is hashed nor checked again.  Connectivity is checked by the
+union-find of ``graph.connected_components``.
 
 Grid certificates (sign classes, monotonicity) evaluate every edge on one
 shared row of tensions.  ``NetworkSystem.edge_chunks`` serves the groups
@@ -29,6 +33,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 from collections.abc import Hashable
+from operator import attrgetter, itemgetter
 from typing import Callable, Iterator, Optional, Sequence, Union
 
 import numpy as np
@@ -43,6 +48,8 @@ from .nodes import NodeDynamics
 # array, the size up to which glibc's default allocator serves memory from
 # its heap rather than from fresh pages.
 _CHUNK_CELLS = 1 << 14
+
+NOT_CONNECTED = "network graph must be connected"
 
 
 @functools.cache
@@ -62,7 +69,8 @@ def _kind_key(obj) -> Hashable:
 
     The key is the kind, nested through Negated and Sum.  An object of a
     kind with other than float parameters (a sampled table) groups only with
-    objects equal to it.
+    itself: it is keyed by identity, since hashing a table by value reads
+    every knot.
     """
     kind = type(obj)
     if kind is ef.Negated:
@@ -71,7 +79,7 @@ def _kind_key(obj) -> Hashable:
         return (kind,) + tuple(_kind_key(t) for t in obj.terms)
     if _float_fields(kind) is not None:
         return kind
-    return obj if isinstance(obj, Hashable) else id(obj)
+    return id(obj)
 
 
 def _stack(objs: Sequence, column: bool = False) -> object:
@@ -83,8 +91,8 @@ def _stack(objs: Sequence, column: bool = False) -> object:
     """
     first = objs[0]
     if type(first) is ef.Negated and type(first.inner) is ef.SampledTable:
-        # Negating the knot values is exact and saves a negation per call.
-        return ef.SampledTable(first.inner.zetas, tuple(-m for m in first.inner.mus))
+        # Negating the knots is exact and saves a negation per call.
+        return first.inner.negated()
     if type(first) is ef.Negated:
         return ef.Negated(_stack([o.inner for o in objs], column))
     if type(first) is ef.Sum:
@@ -98,17 +106,22 @@ def _stack(objs: Sequence, column: bool = False) -> object:
     # __post_init__, whose scalar checks do not apply to arrays.
     stacked = object.__new__(type(first))
     for name in names:
-        values = np.array([getattr(o, name) for o in objs], dtype=float)
+        values = np.fromiter(map(attrgetter(name), objs), float, len(objs))
         object.__setattr__(stacked, name, values[:, None] if column else values)
     return stacked
 
 
 def _group_by_kind(objs: Sequence) -> list[tuple[Union[slice, np.ndarray], object]]:
     """(positions, stacked object) per kind, positions as a slice when they
-    are contiguous so that gathering them is a view."""
+    are contiguous so that gathering them is a view.  When every kind has
+    float parameters only, the types are the keys and ``_kind_key`` is not
+    called."""
+    keys = list(map(type, objs))
+    if any(_float_fields(kind) is None for kind in set(keys)):
+        keys = list(map(_kind_key, objs))
     positions: dict[Hashable, list[int]] = {}
-    for i, obj in enumerate(objs):
-        positions.setdefault(_kind_key(obj), []).append(i)
+    for i, key in enumerate(keys):
+        positions.setdefault(key, []).append(i)
     groups = []
     for idx in positions.values():
         at = (
@@ -212,13 +225,14 @@ class NetworkSystem:
                 f"{len(edge_functions)} edge functions for {graph.edge_count} edges"
             )
         if not is_connected(graph):
-            raise ValidationError("network graph must be connected")
+            raise ValidationError(NOT_CONNECTED)
         self.graph = graph
         self.node_dynamics = tuple(node_dynamics)
         self.edge_functions = tuple(edge_functions)
         # 0-based endpoints of every edge, in id order: the sparse form of E.
-        self.tail = np.array([e.tail - 1 for e in graph.edges], dtype=np.intp)
-        self.head = np.array([e.head - 1 for e in graph.edges], dtype=np.intp)
+        m = graph.edge_count
+        self.tail = np.fromiter(map(itemgetter(1), graph.edges), np.intp, m) - 1
+        self.head = np.fromiter(map(itemgetter(2), graph.edges), np.intp, m) - 1
         self.tail.flags.writeable = False
         self.head.flags.writeable = False
         self._reduced: dict[tuple[int, int], ReducedLaplacian] = {}

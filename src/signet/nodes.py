@@ -18,7 +18,7 @@ from typing import Callable, Union
 import numpy as np
 
 from .errors import UnsupportedDynamics, ValidationError
-from .edgefn import GridSpec, FloatOrArray, check_finite_parameters, power
+from .edgefn import GridSpec, FloatOrArray, check_parameters, power
 
 _SECTOR_EQ_TOL = 1e-12
 
@@ -27,7 +27,7 @@ class NodeDynamics:
     """Base class: drift gamma with gamma(0) = 0, elementwise on arrays."""
 
     def __post_init__(self):
-        check_finite_parameters(self)
+        check_parameters(self)
 
     def gamma(self, u: FloatOrArray) -> FloatOrArray:
         raise NotImplementedError

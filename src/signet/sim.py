@@ -305,10 +305,10 @@ def write_trajectory_csv(tr: Trajectory, fh: TextIO) -> None:
     """CSV export: header t,y1..yn, one row per sample, 17 significant digits."""
     n = tr.states.shape[1]
     fh.write("t," + ",".join(f"y{i}" for i in range(1, n + 1)) + "\n")
-    for t, row in zip(tr.times, tr.states):
-        fh.write(
-            format(float(t), ".17g")
-            + ","
-            + ",".join(format(float(v), ".17g") for v in row)
-            + "\n"
-        )
+    # %-formatting a Python float gives the digits of format(v, ".17g");
+    # rows become Python floats one at a time, so no copy of the whole
+    # trajectory is made.
+    line = ",".join(["%.17g"] * (n + 1)) + "\n"
+    fh.writelines(
+        line % (t, *row.tolist()) for t, row in zip(tr.times.tolist(), tr.states)
+    )

@@ -1,20 +1,26 @@
 """Config parsing, validation diagnostics, and the command-line surface."""
 
 import contextlib
+import dataclasses
 import io
 import json
+import math
 import shutil
+import time
 import warnings
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from signet import analysis, circuit, cli, config
 from signet.config import load_config, parse_config
-from signet.edgefn import GridSpec, Negated, PowerSign, SampledTable
+from signet.edgefn import (
+    DeadZone, GridSpec, Linear, Negated, PowerSign, SampledTable, Sinusoid,
+)
+from signet.graph import Edge, Graph
 from signet.errors import ParseError, ValidationError
 from signet.sim import SimConfig
 
@@ -272,6 +278,19 @@ def test_cli_rejects_oversized_runs_while_parsing(tmp_path, capsys, sim):
         assert run_cli(command, "--config", cfg, "--out", tmp_path / "o") == 2
         assert_one_line_validation_error(capsys)
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("count", [10**12, 3])
+def test_cli_rejects_more_nodes_than_a_connected_graph_has(tmp_path, capsys, count):
+    # One edge connects at most two nodes; nothing is allocated per node
+    # before the count is rejected, so even 10^12 nodes fail at once.
+    cfg = tmp_path / "nodes.json"
+    cfg.write_text(doc(nodes={"count": count}))
+    start = time.perf_counter()
+    assert run_cli("classify", "--config", cfg, "--out", tmp_path / "o") == 2
+    assert time.perf_counter() - start < 0.5
+    assert capsys.readouterr().err == (
+        "error: ValidationError: network graph must be connected\n")
 
 
 def test_cli_rejects_nan_edge_weight(tmp_path, capsys):
@@ -593,3 +612,171 @@ def test_cli_exit_code_contract_under_mutated_configs(fuzz_dir, data):
             assert lines and errors == [lines[-1]]
         else:
             assert not errors
+
+
+# --- the columnar edge reader ------------------------------------------------
+# Flat kinds with their parameter strategies; ints stand in for floats too.
+FLAT_KINDS = {
+    "linear": (Linear, {"w": st.integers(-5, 5) | st.floats(-10, 10)}),
+    "dead_zone": (DeadZone, {"w": st.integers(-5, 5) | st.floats(-10, 10),
+                             "band": st.integers(1, 4) | st.floats(0.1, 5)}),
+    "power_sign": (PowerSign, {"w": st.integers(-5, 5) | st.floats(-10, 10),
+                               "alpha": st.floats(0.05, 0.95)}),
+    "sinusoid": (Sinusoid, {"a": st.integers(-5, 5) | st.floats(-10, 10)}),
+}
+EDGE_KEYS = {"id", "tail", "head", "fn"}
+
+
+@st.composite
+def flat_configs(draw):
+    """Config documents of 1..12 flat-kind edges on at most edges + 1
+    nodes, listed in a random order, fn keys in a random order, and a
+    dead zone's band sometimes left to its default."""
+    m = draw(st.integers(1, 12))
+    n = draw(st.integers(2, m + 1))
+    edges = []
+    for k in range(1, m + 1):
+        tail = draw(st.integers(1, n))
+        head = draw(st.integers(1, n).filter(lambda v: v != tail))
+        kind = draw(st.sampled_from(sorted(FLAT_KINDS)))
+        params = {name: draw(values) for name, values in FLAT_KINDS[kind][1].items()}
+        if kind == "dead_zone" and draw(st.booleans()):
+            del params["band"]
+        items = [("kind", kind)] + list(params.items())
+        fn = dict(draw(st.permutations(items)))
+        edges.append({"id": k, "tail": tail, "head": head, "fn": fn})
+    return {"nodes": {"count": n}, "edges": draw(st.permutations(edges))}
+
+
+def _as_float(v):
+    try:
+        return float(v)
+    except OverflowError:
+        return math.inf if v > 0 else -math.inf
+
+
+def _edge_fault(e, where):
+    """The error of one edge alone: key and integer checks, then the fn's
+    keys, its numbers in key order and the kind's constructor."""
+    if not isinstance(e, dict):
+        return f"{where}: expected an object"
+    if set(e) - EDGE_KEYS:
+        return f"{where}: unknown keys {sorted(set(e) - EDGE_KEYS)}"
+    if EDGE_KEYS - set(e):
+        return f"{where}: missing keys {sorted(EDGE_KEYS - set(e))}"
+    for key in ("id", "tail", "head"):
+        if type(e[key]) is not int:
+            return f"{where}.{key}: expected an integer, got {e[key]!r}"
+    fn, where = e["fn"], where + ".fn"
+    cls = FLAT_KINDS[fn["kind"]][0]
+    allowed = {f.name for f in dataclasses.fields(cls)} | {"kind"}
+    required = {"kind"} | {f.name for f in dataclasses.fields(cls)
+                           if f.default is dataclasses.MISSING}
+    if set(fn) - allowed:
+        return f"{where}: unknown keys {sorted(set(fn) - allowed)}"
+    if required - set(fn):
+        return f"{where}: missing keys {sorted(required - set(fn))}"
+    params = {}
+    for key, v in fn.items():
+        if key == "kind":
+            continue
+        if type(v) not in (int, float):
+            return f"{where}: {key}: expected a number, got {v!r}"
+        params[key] = _as_float(v)
+    try:
+        cls(**params)
+    except ValidationError as exc:
+        return f"{where}: {exc}"
+    return None
+
+
+def _expected_error(doc):
+    """The first faulty edge by list position, else the graph's checks:
+    dense ids, then per edge in id order a self-loop and each endpoint."""
+    edges, n = doc["edges"], doc["nodes"]["count"]
+    for i, e in enumerate(edges):
+        fault = _edge_fault(e, f"edges[{i}]")
+        if fault is not None:
+            return fault
+    if sorted(e["id"] for e in edges) != list(range(1, len(edges) + 1)):
+        return "edge ids must be unique and dense (1..|E|)"
+    for e in sorted(edges, key=lambda e: e["id"]):
+        if e["tail"] == e["head"]:
+            return f"edge {e['id']} is a self-loop"
+        for v in (e["tail"], e["head"]):
+            if not 1 <= v <= n:
+                return f"edge {e['id']} endpoint {v} out of range 1..{n}"
+    return None
+
+
+def _inject(doc, data):
+    """One fault at a random edge: a bad number, a bad parameter, a key too
+    many or too few, a non-integer or duplicate id, a self-loop or a node out
+    of range."""
+    edges, n = doc["edges"], doc["nodes"]["count"]
+    i = data.draw(st.integers(0, len(edges) - 1))
+    e = edges[i]
+    fault = data.draw(st.sampled_from([
+        "number", "alpha", "band", "edge_key", "fn_key", "drop_edge_key",
+        "drop_fn_key", "id", "duplicate", "self_loop", "range",
+    ]))
+    fn = e.get("fn") if isinstance(e.get("fn"), dict) else {}
+    names = [k for k in fn if k != "kind"]
+    if fault == "number" and names:
+        fn[data.draw(st.sampled_from(names))] = data.draw(st.sampled_from(
+            [True, False, "1.0", 10**400, -10**400, None, [1.0]]))
+    elif fault == "alpha":
+        e["fn"] = {"kind": "power_sign", "w": 1,
+                   "alpha": data.draw(st.sampled_from([0, 1, 0.0, 1.0, 1.5, -0.25]))}
+    elif fault == "band":
+        e["fn"] = {"kind": "dead_zone", "w": 2.0,
+                   "band": data.draw(st.sampled_from([0, 0.0, -1, -0.5]))}
+    elif fault == "edge_key":
+        e["extra"] = 1
+    elif fault == "fn_key" and fn:
+        fn["gain"] = 1.0
+    elif fault == "drop_edge_key" and e:
+        del e[data.draw(st.sampled_from(sorted(e)))]
+    elif fault == "drop_fn_key" and names:
+        del fn[data.draw(st.sampled_from(names))]
+    elif fault == "id" and "id" in e:
+        e["id"] = data.draw(st.sampled_from([1.0, "1", True, None, 2.5]))
+    elif fault == "duplicate" and len(edges) > 1:
+        j = data.draw(st.integers(0, len(edges) - 1).filter(lambda j: j != i))
+        e["id"] = edges[j].get("id", 1)
+    elif fault == "self_loop" and "tail" in e:
+        e["head"] = e["tail"]
+    elif fault == "range":
+        e[data.draw(st.sampled_from(["tail", "head"]))] = data.draw(
+            st.sampled_from([0, -3, n + 1, n + 7, 10**400]))
+
+
+@given(doc=flat_configs(), data=st.data())
+@settings(max_examples=400, deadline=None)
+def test_columnar_edges_report_the_first_fault(doc, data):
+    for _ in range(data.draw(st.integers(1, 2))):
+        _inject(doc, data)
+    want = _expected_error(doc)
+    assume(want is not None)
+    with pytest.raises(ValidationError) as caught:
+        parse_config(json.dumps(doc))
+    assert str(caught.value) == want
+
+
+@given(doc=flat_configs())
+@settings(max_examples=300, deadline=None)
+def test_columnar_edges_equal_constructed_objects(doc):
+    by_id = sorted(doc["edges"], key=lambda e: e["id"])
+    # Valid flat-kind configs never fall back to the edge-by-edge reader.
+    with mock.patch.object(config, "_edge_rows", side_effect=AssertionError):
+        cfg = parse_config(json.dumps(doc))
+    n = doc["nodes"]["count"]
+    assert cfg.graph == Graph(n, tuple(Edge(e["id"], e["tail"], e["head"]) for e in by_id))
+    want = tuple(
+        FLAT_KINDS[e["fn"]["kind"]][0](
+            **{k: float(v) for k, v in e["fn"].items() if k != "kind"})
+        for e in by_id
+    )
+    assert cfg.edge_functions == want
+    for fn in cfg.edge_functions:
+        assert all(type(getattr(fn, f.name)) is float for f in dataclasses.fields(fn))

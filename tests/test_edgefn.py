@@ -434,3 +434,14 @@ def test_power_sign_parameter_validation():
         PowerSign(1.0, 1.5)
     with pytest.raises(ValidationError):
         DeadZone(1.0, -2.0)
+
+
+def test_negated_table_equals_the_table_of_negated_samples():
+    t = SampledTable((-2.0, -1.0, 0.0, 1.0, 3.0), (-1.0, 0.0, 0.0, 0.5, 0.5))
+    neg = t.negated()
+    assert neg == SampledTable(t.zetas, tuple(-m for m in t.mus))
+    # Every value equals that of Negated(t) (a zero may differ in sign).
+    z = np.array([-5.0, -2.0, -1.5, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0, 3.0, 7.0])
+    for method in ("__call__", "cocontent", "derivative"):
+        assert np.array_equal(getattr(neg, method)(z), getattr(Negated(t), method)(z))
+    assert neg.equilibria() == t.equilibria()

@@ -289,3 +289,53 @@ def test_edge_blocks_separate_bridges_and_parallel_pairs():
     assert len({labels[0], labels[3], labels[4]}) == 3
     assert unique_cycle_through_edge(g, 4) is None
     assert unique_cycle_through_edge(g, 5).steps == ((6, 0),)
+
+
+def bfs_components(n, pairs):
+    """Oracle: blocks of nodes 1..n under the undirected edges ``pairs``,
+    found by breadth-first search, each sorted, listed by smallest node."""
+    near = {v: set() for v in range(1, n + 1)}
+    for a, b in pairs:
+        near[a].add(b)
+        near[b].add(a)
+    seen, blocks = set(), []
+    for root in range(1, n + 1):
+        if root in seen:
+            continue
+        block, frontier = {root}, [root]
+        while frontier:
+            frontier = [w for v in frontier for w in near[v] if w not in block]
+            block.update(frontier)
+        seen |= block
+        blocks.append(sorted(block))
+    return blocks
+
+
+@given(data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_union_find_components_match_bfs(data):
+    # Up to 30 nodes, many of them isolated when the edges are few, with
+    # parallel edges, either orientation and a random subset of edges kept.
+    n = data.draw(st.integers(1, 30))
+    ends = st.lists(st.integers(1, n), min_size=2, max_size=2, unique=True)
+    pairs = data.draw(st.lists(ends, max_size=40)) if n > 1 else []
+    g = Graph(n, tuple(Edge(k + 1, a, b) for k, (a, b) in enumerate(pairs)))
+    kept = data.draw(st.sets(st.integers(1, max(1, len(pairs)))))
+    every = bfs_components(n, pairs)
+    assert connected_components(g) == every
+    assert is_connected(g) == (len(every) == 1)
+    want = bfs_components(n, [p for k, p in enumerate(pairs, 1) if k in kept])
+    assert connected_components(g, lambda e: e.id in kept) == want
+
+
+def test_graph_keeps_an_edge_tuple_in_id_order_and_sorts_others():
+    edges = (Edge(1, 1, 2), Edge(2, 2, 3))
+    assert Graph(3, edges).edges is edges
+    for listed in ([(2, 2, 3), (1, 1, 2)], ((2, 2, 3), Edge(1, 1, 2))):
+        g = Graph(3, listed)
+        assert g.edges == edges and all(type(e) is Edge for e in g.edges)
+    with pytest.raises(ValidationError, match="unique and dense"):
+        Graph(3, (Edge(1, 1, 2), Edge(1, 2, 3)))
+    # The first bad edge by id, and its first failed check, is reported.
+    with pytest.raises(ValidationError, match="^edge 2 endpoint 9 out of range"):
+        Graph(3, (Edge(3, 3, 3), Edge(2, 9, 1), Edge(1, 1, 2)))

@@ -14,6 +14,7 @@ from signet.nodes import Identity
 from signet.sim import (
     OutcomeKind,
     SimConfig,
+    Trajectory,
     classify_outcome,
     cocontent_profile,
     quadratic_storage_profile,
@@ -253,3 +254,24 @@ def test_cocontent_profile_decreases_for_dead_zone_mix(
     V = cocontent_profile(six_clustering_network, six_clustering_run)
     assert np.all(np.diff(V) <= 1e-9)
     assert V[-1] < V[0]
+
+
+def test_trajectory_csv_matches_formatting_each_float():
+    # The reference: format(float(v), ".17g") for every numpy value.
+    rng = np.random.default_rng(7)
+    special = [-0.0, 0.0, 5e-324, -5e-324, 1.7976931348623157e308, 3.0, -2.0,
+               1e16, 0.1, 2.0 ** -1074 * 3, 123456789.0, math.inf, -math.inf, math.nan]
+    states = rng.normal(scale=1e3, size=(40, len(special)))
+    states[0] = special
+    states[1] = special[::-1]
+    states[2:6] = np.round(states[2:6])
+    times = np.concatenate([[0.0, 5e-324, 1.0], np.cumsum(rng.random(37))])
+    tr = Trajectory(times, states, 0.0)
+    want = io.StringIO()
+    want.write("t," + ",".join(f"y{i}" for i in range(1, len(special) + 1)) + "\n")
+    for t, row in zip(tr.times, tr.states):
+        want.write(format(float(t), ".17g") + ","
+                   + ",".join(format(float(v), ".17g") for v in row) + "\n")
+    got = io.StringIO()
+    write_trajectory_csv(tr, got)
+    assert got.getvalue() == want.getvalue()
