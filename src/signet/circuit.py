@@ -21,6 +21,7 @@ read of an operating point's degeneracy flag factorizes its Hessian.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, field
 from typing import Optional, TextIO
 
@@ -74,7 +75,7 @@ class OperatingPoint:
         objective is convex."""
         block = self._system.reduced_laplacian(*self.terminals)
         d = _chord_slopes(self.zeta, self.mu, _exact_slopes(self._system, self.zeta))
-        if not (block.size and np.all(d >= 0.0)):
+        if not (block.size and (d >= 0.0).all()):
             return False
         try:
             np.linalg.cholesky(block.matrix(d))
@@ -220,14 +221,16 @@ def solve_operating_point(
         free nodes, where it is the objective's gradient, tension, flow)."""
         zeta = yv[tail] - yv[head]
         mu = flow(zeta)
-        F = float(cocontent(zeta).sum())
+        # Every sample evaluates at least once; the ufunc reductions are what
+        # ndarray.sum/.all/.max call, without their Python-level wrappers.
+        F = float(np.add.reduce(cocontent(zeta)))
         outflow = np.bincount(tail, mu, n) - np.bincount(head, mu, n)
-        if not (np.isfinite(F) and np.all(np.isfinite(outflow))):
+        if not (math.isfinite(F) and np.logical_and.reduce(np.isfinite(outflow))):
             raise NoConvergence(
                 f"objective or gradient not finite at zeta_pq = {zeta_pq:.6g}; "
                 "the cocontent may be unbounded below"
             )
-        g_norm = float(np.max(np.abs(outflow[free]), initial=0.0))
+        g_norm = float(np.maximum.reduce(np.abs(outflow[free]), initial=0.0))
         return yv, F, outflow, g_norm, zeta, mu
 
     def moved(step: float, direction: np.ndarray):
@@ -240,7 +243,7 @@ def solve_operating_point(
         None.  The derivative clamp keeps the system solvable when power-law
         slopes blow up at zero tension (it pins those tensions, their optimum).
         """
-        if not np.all(d >= 0.0):
+        if not (d >= 0.0).all():
             return None
         H = block.matrix(d)
         try:
@@ -274,7 +277,7 @@ def solve_operating_point(
                 # move (power-law edges sitting exactly at zero tension); when
                 # the step degenerates to numerically nothing, take a gradient
                 # step to pull those edges off the kink.
-                if np.max(np.abs(direction)) < 1e-13 * (1.0 + np.max(np.abs(y))):
+                if np.abs(direction).max() < 1e-13 * (1.0 + np.abs(y).max()):
                     direction = -g
                 slope = float(g @ direction)
                 # Within a decade of the tolerance the float sum of the
@@ -306,8 +309,8 @@ def solve_operating_point(
             )
 
     terminal_flow = float(outflow[p - 1])
-    zeta_bar = np.append(zeta, zeta_pq)
-    mu_bar = np.append(mu, -terminal_flow)
+    zeta_bar = np.concatenate((zeta, (zeta_pq,)))
+    mu_bar = np.concatenate((mu, (-terminal_flow,)))
     return OperatingPoint(
         y=y,
         zeta_bar=zeta_bar,
@@ -363,6 +366,7 @@ def equivalent_edge_function(
     """
     grid.validate(min_samples=3, odd=True)
     zetas = grid.points()
+    points = zetas.tolist()
     mus = np.zeros(grid.samples)
     mid = grid.samples // 2
     max_residual = 0.0
@@ -371,15 +375,19 @@ def equivalent_edge_function(
         nonlocal max_residual
         warm = previous = None
         for i in indices:
-            op = solve_operating_point(system, p, q, float(zetas[i]), warm)
+            zeta_pq = points[i]
+            op = solve_operating_point(system, p, q, zeta_pq, warm)
             mus[i] = op.terminal_flow
-            scale = float(np.linalg.norm(op.mu_bar) * np.linalg.norm(op.zeta_bar))
+            # The product of the two vectors' Euclidean norms (what
+            # np.linalg.norm computes for a real vector, without its wrapper).
+            mu_bar, zeta_bar = op.mu_bar, op.zeta_bar
+            scale = math.sqrt(mu_bar.dot(mu_bar)) * math.sqrt(zeta_bar.dot(zeta_bar))
             relative = tellegen_residual(op) / (scale if scale > 0 else 1.0)
             max_residual = max(max_residual, relative)
             # The all-zero solution pins power-law edges at their kink, so
             # it makes a poor predictor; chain warm starts only off-center,
             # extrapolating the last two off-center solutions (a secant).
-            if float(zetas[i]) == 0.0:
+            if zeta_pq == 0.0:
                 warm = previous = None
             else:
                 warm = op.y if previous is None else 2.0 * op.y - previous
@@ -428,4 +436,4 @@ def tellegen_residual(op: OperatingPoint) -> float:
     Tensions derived from potentials are orthogonal to flows satisfying the
     current law, so this residual measures solver quality.
     """
-    return abs(float(op.mu_bar @ op.zeta_bar))
+    return abs(float(op.mu_bar.dot(op.zeta_bar)))

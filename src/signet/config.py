@@ -14,7 +14,8 @@ The edge list, by far the largest section, is read a column at a time
 (``_edge_columns``): each check runs once over all edges, the parameters of
 each flat analytic kind through that kind's one validator
 (``edgefn.parameter_violation``), and the edge objects are then made
-without checking them again.  Nested kinds take the recursive reader.  A
+without checking them again.  The flat terms of nested kinds join their
+kind's columns, and the nested objects are assembled around them.  A
 list with a malformed edge is read again edge by edge (``_edge_rows``),
 which raises the error of the first malformed edge by list position; the
 graph's own checks (ids, self-loops, node ranges) come after those.  A
@@ -54,6 +55,8 @@ _MAX_NESTING = 32
 _EDGE_KEYS = frozenset({"id", "tail", "head", "fn"})
 _EDGE_ENDS = itemgetter("id", "tail", "head")
 _FN = itemgetter("fn")
+_NEGATED_KEYS = frozenset({"kind", "fn"})
+_SUM_KEYS = frozenset({"kind", "terms"})
 _NUMBER_TYPES = frozenset({int, float})
 
 
@@ -220,14 +223,50 @@ def _edge_rows(specs: list, base_dir: Optional[Path]) -> tuple[list, list]:
     return edges, fns
 
 
+def _nested_plan(spec, base_dir: Optional[Path], depth: int, leaves: dict) -> tuple:
+    """The shape of an edge function spec for ``_edge_columns``: (kind,
+    position) for a flat analytic leaf appended to ``leaves[kind]``
+    unchecked, (Negated, plan) or (Sum, plans) for a well-formed nested
+    kind, else (None, the object) read by ``_edge_function``, whose
+    ValidationError propagates (``_edge_rows`` then reports it)."""
+    kind = spec.get("kind") if isinstance(spec, dict) else None
+    if depth <= _MAX_NESTING:
+        if isinstance(kind, str) and kind in _EDGE_KINDS:
+            group = leaves.setdefault(kind, [])
+            group.append(spec)
+            return kind, len(group) - 1
+        if kind == "negated" and spec.keys() == _NEGATED_KEYS:
+            return ef.Negated, _nested_plan(spec["fn"], base_dir, depth + 1, leaves)
+        if kind == "sum" and spec.keys() == _SUM_KEYS:
+            terms = spec["terms"]
+            if isinstance(terms, list) and terms:
+                return ef.Sum, [
+                    _nested_plan(t, base_dir, depth + 1, leaves) for t in terms
+                ]
+    return None, _edge_function(spec, "edge function", base_dir, depth)
+
+
+def _assemble(plan: tuple, built: dict) -> ef.EdgeFunction:
+    """The edge function of a ``_nested_plan``, its flat leaves taken from
+    ``built[kind]`` by position."""
+    kind, arg = plan
+    if kind is ef.Negated:
+        return ef.Negated(_assemble(arg, built))
+    if kind is ef.Sum:
+        return ef.Sum(tuple(_assemble(t, built) for t in arg))
+    return arg if kind is None else built[kind][arg]
+
+
 def _edge_columns(specs: list, base_dir: Optional[Path]) -> Optional[tuple[list, list]]:
     """What ``_edge_rows`` returns, read a column at a time, or None when some
     edge is malformed.
 
     Each check runs once over a column: the keys and integers of all edges,
     then per flat analytic kind the keys, numbers and parameters
-    (``edgefn.parameter_violation``) of its edges, whose objects are then
-    made without checking them again.  Other kinds take ``_edge_function``.
+    (``edgefn.parameter_violation``) of its edges and of the flat terms
+    nested in ``sum`` and ``negated`` specs, whose objects are then made
+    without checking them again and assembled into their nested functions.
+    Sampled tables take ``_edge_function``.
     """
     try:
         edges = list(map(Edge._make, map(_EDGE_ENDS, specs)))
@@ -242,16 +281,22 @@ def _edge_columns(specs: list, base_dir: Optional[Path]) -> Optional[tuple[list,
     if set(map(type, chain.from_iterable(edges))) != {int}:
         return None
     fns: list = [None] * len(specs)
-    for kind, at in positions.items():
+    plans: dict = {}
+    leaves: dict = {}
+    try:
+        for kind, at in positions.items():
+            if kind not in _EDGE_KINDS:
+                for i in at:
+                    plans[i] = _nested_plan(fn_specs[i], base_dir, 1, leaves)
+    except ValidationError:
+        return None
+    built: dict = {}
+    for kind in {**positions, **leaves}:
         cls = _EDGE_KINDS.get(kind)
-        group = [fn_specs[i] for i in at]
         if cls is None:
-            try:
-                for i, spec in zip(at, group):
-                    fns[i] = _edge_function(spec, f"edges[{i}].fn", base_dir)
-            except ValidationError:
-                return None
             continue
+        at = positions.get(kind, ())
+        group = [fn_specs[i] for i in at] + leaves.get(kind, [])
         _, allowed, required = _schema(cls, True)
         if not all(required <= set(keys) <= allowed for keys in set(map(tuple, group))):
             return None
@@ -266,8 +311,12 @@ def _edge_columns(specs: list, base_dir: Optional[Path]) -> Optional[tuple[list,
             return None
         if ef.parameter_violation(cls, columns) is not None:
             return None
-        for i, fn in zip(at, ef.unchecked(cls, columns)):
+        objs = ef.unchecked(cls, columns)
+        for i, fn in zip(at, objs):
             fns[i] = fn
+        built[kind] = objs[len(at):]
+    for i, plan in plans.items():
+        fns[i] = _assemble(plan, built)
     return edges, fns
 
 

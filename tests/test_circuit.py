@@ -235,6 +235,99 @@ def test_equivalent_edge_odd_symmetry():
     np.testing.assert_allclose(table.mus, -table.mus[::-1], atol=1e-10)
 
 
+@pytest.mark.parametrize("warm", [False, True])
+@pytest.mark.parametrize("zeta_pq", [0.0, -0.0, 1e-300, 3.5, -1e6])
+def test_augmented_arrays_extend_the_real_edges(series_network, zeta_pq, warm):
+    # The virtual terminal edge comes last: it carries zeta_pq itself (its
+    # sign bit too) and the negated terminal flow.
+    start = np.array([1.0, -2.0, 0.5]) if warm else None
+    op = solve_operating_point(series_network, 1, 3, zeta_pq, start)
+    sign = lambda v: math.copysign(1.0, v)  # noqa: E731
+    assert op.zeta_bar.shape == op.mu_bar.shape == (series_network.edge_count + 1,)
+    assert op.zeta_bar[-1] == zeta_pq and sign(op.zeta_bar[-1]) == sign(zeta_pq)
+    assert op.mu_bar[-1] == -op.terminal_flow
+    assert sign(op.mu_bar[-1]) == sign(-op.terminal_flow)
+    assert op.zeta.tobytes() == series_network.tension(op.y).tobytes()
+    assert op.mu.tobytes() == series_network.flow(op.zeta).tobytes()
+    assert np.array_equal(op.zeta_bar[:-1], op.zeta) and np.array_equal(op.mu_bar[:-1], op.mu)
+
+
+def _reference_sweep(net, p, q, grid):
+    """The sweep of ``equivalent_edge_function`` replayed with its original
+    formulas: one solve per sample outward from zero with secant warm starts,
+    the residual scaled by ``np.linalg.norm``.  Returns (mus, worst residual)."""
+    zetas = grid.points()
+    mus = np.zeros(grid.samples)
+    mid = grid.samples // 2
+    worst = 0.0
+    for indices in (range(mid, grid.samples), range(mid, -1, -1)):
+        warm = previous = None
+        for i in indices:
+            op = solve_operating_point(net, p, q, float(zetas[i]), warm)
+            mus[i] = op.terminal_flow
+            scale = float(np.linalg.norm(op.mu_bar) * np.linalg.norm(op.zeta_bar))
+            residual = abs(float(op.mu_bar @ op.zeta_bar))
+            worst = max(worst, residual / (scale if scale > 0 else 1.0))
+            if float(zetas[i]) == 0.0:
+                warm = previous = None
+            else:
+                warm = op.y if previous is None else 2.0 * op.y - previous
+                previous = op.y
+    return mus, worst
+
+
+_sweep_edges = st.one_of(
+    st.builds(Linear, st.floats(0.2, 3.0)),
+    st.builds(DeadZone, st.floats(0.2, 3.0), st.floats(0.1, 2.0)),
+    st.builds(PowerSign, st.floats(0.5, 3.0), st.floats(0.3, 0.9)),
+    # An increasing table through the origin, not odd, with 2-3 knots a side.
+    st.builds(
+        lambda left, right: SampledTable(
+            tuple(-float(k) for k in range(len(left), 0, -1)) + (0.0,)
+            + tuple(float(k) for k in range(1, len(right) + 1)),
+            tuple(-sum(left[:k]) for k in range(len(left), 0, -1)) + (0.0,)
+            + tuple(sum(right[:k]) for k in range(1, len(right) + 1)),
+        ),
+        st.lists(st.floats(0.2, 3.0), min_size=2, max_size=3),
+        st.lists(st.floats(0.2, 3.0), min_size=2, max_size=3),
+    ),
+)
+
+
+@st.composite
+def _sweep_cases(draw):
+    """(system, p, q, grid): a ring or a random tree plus up to four chords
+    on 3-12 nodes, randomly oriented, with mixed monotone edges."""
+    n = draw(st.integers(3, 12))
+    if draw(st.booleans()):
+        pairs = [(k, k % n + 1) for k in range(1, n + 1)]
+    else:
+        tree = [(draw(st.integers(1, k - 1)), k) for k in range(2, n + 1)]
+        chords = [(a, b) for a in range(1, n + 1) for b in range(a + 1, n + 1)]
+        pairs = sorted(set(tree) | set(draw(st.lists(st.sampled_from(chords), max_size=4))))
+    edges = tuple(
+        Edge(k + 1, *((b, a) if draw(st.booleans()) else (a, b)))
+        for k, (a, b) in enumerate(pairs)
+    )
+    fns = draw(st.lists(_sweep_edges, min_size=len(edges), max_size=len(edges)))
+    p, q = draw(st.lists(st.integers(1, n), min_size=2, max_size=2, unique=True))
+    grid = GridSpec(draw(st.floats(0.5, 20.0)), draw(st.sampled_from([3, 5, 9, 21])))
+    return NetworkSystem(Graph(n, edges), [Identity()] * n, fns), p, q, grid
+
+
+@given(case=_sweep_cases())
+@settings(max_examples=40, deadline=None)
+def test_sweep_matches_reference_replay(case):
+    net, p, q, grid = case
+    try:
+        table = equivalent_edge_function(net, p, q, grid)
+    except NoConvergence:
+        assume(False)
+    mus, worst = _reference_sweep(net, p, q, grid)
+    assert table.mus.tobytes() == mus.tobytes()
+    assert table.max_tellegen_residual == worst
+
+
 def test_table_csv_roundtrip_and_reuse(series_network, tmp_path):
     table = equivalent_edge_function(series_network, 1, 3, GridSpec(10.0, 21))
     buf = io.StringIO()

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from signet import analysis, circuit, cli, config
 from signet.config import load_config, parse_config
 from signet.edgefn import (
-    DeadZone, GridSpec, Linear, Negated, PowerSign, SampledTable, Sinusoid,
+    DeadZone, GridSpec, Linear, Negated, PowerSign, SampledTable, Sinusoid, Sum,
 )
 from signet.graph import Edge, Graph
 from signet.errors import ParseError, ValidationError
@@ -628,23 +628,44 @@ EDGE_KEYS = {"id", "tail", "head", "fn"}
 
 
 @st.composite
-def flat_configs(draw):
-    """Config documents of 1..12 flat-kind edges on at most edges + 1
-    nodes, listed in a random order, fn keys in a random order, and a
-    dead zone's band sometimes left to its default."""
+def flat_fn_specs(draw):
+    """A flat-kind spec, keys in a random order, a dead zone's band
+    sometimes left to its default."""
+    kind = draw(st.sampled_from(sorted(FLAT_KINDS)))
+    params = {name: draw(values) for name, values in FLAT_KINDS[kind][1].items()}
+    if kind == "dead_zone" and draw(st.booleans()):
+        del params["band"]
+    items = [("kind", kind)] + list(params.items())
+    return dict(draw(st.permutations(items)))
+
+
+def _sum_specs(terms):
+    return st.builds(lambda ts: {"kind": "sum", "terms": ts},
+                     st.lists(terms, min_size=1, max_size=3))
+
+
+# Flat specs, sums of 1-3 flat terms, negations of either, and a sum of
+# negations: nested up to three levels.
+fn_specs = st.one_of(
+    flat_fn_specs(),
+    _sum_specs(flat_fn_specs()),
+    st.builds(lambda fn: {"kind": "negated", "fn": fn},
+              flat_fn_specs() | _sum_specs(flat_fn_specs())),
+    _sum_specs(st.builds(lambda fn: {"kind": "negated", "fn": fn}, flat_fn_specs())),
+)
+
+
+@st.composite
+def edge_configs(draw):
+    """Config documents of 1..12 edges on at most edges + 1 nodes, listed in
+    a random order, each function flat or nested over flat terms."""
     m = draw(st.integers(1, 12))
     n = draw(st.integers(2, m + 1))
     edges = []
     for k in range(1, m + 1):
         tail = draw(st.integers(1, n))
         head = draw(st.integers(1, n).filter(lambda v: v != tail))
-        kind = draw(st.sampled_from(sorted(FLAT_KINDS)))
-        params = {name: draw(values) for name, values in FLAT_KINDS[kind][1].items()}
-        if kind == "dead_zone" and draw(st.booleans()):
-            del params["band"]
-        items = [("kind", kind)] + list(params.items())
-        fn = dict(draw(st.permutations(items)))
-        edges.append({"id": k, "tail": tail, "head": head, "fn": fn})
+        edges.append({"id": k, "tail": tail, "head": head, "fn": draw(fn_specs)})
     return {"nodes": {"count": n}, "edges": draw(st.permutations(edges))}
 
 
@@ -655,27 +676,44 @@ def _as_float(v):
         return math.inf if v > 0 else -math.inf
 
 
-def _edge_fault(e, where):
-    """The error of one edge alone: key and integer checks, then the fn's
-    keys, its numbers in key order and the kind's constructor."""
-    if not isinstance(e, dict):
-        return f"{where}: expected an object"
-    if set(e) - EDGE_KEYS:
-        return f"{where}: unknown keys {sorted(set(e) - EDGE_KEYS)}"
-    if EDGE_KEYS - set(e):
-        return f"{where}: missing keys {sorted(EDGE_KEYS - set(e))}"
-    for key in ("id", "tail", "head"):
-        if type(e[key]) is not int:
-            return f"{where}.{key}: expected an integer, got {e[key]!r}"
-    fn, where = e["fn"], where + ".fn"
-    cls = FLAT_KINDS[fn["kind"]][0]
-    allowed = {f.name for f in dataclasses.fields(cls)} | {"kind"}
-    required = {"kind"} | {f.name for f in dataclasses.fields(cls)
-                           if f.default is dataclasses.MISSING}
+def _key_fault(fn, allowed, required, where):
     if set(fn) - allowed:
         return f"{where}: unknown keys {sorted(set(fn) - allowed)}"
     if required - set(fn):
         return f"{where}: missing keys {sorted(required - set(fn))}"
+    return None
+
+
+def _fn_fault(fn, where, depth=1):
+    """The error of one edge function spec: its nesting depth, its kind,
+    its keys, then a nested kind's parts in order, or a flat kind's numbers
+    in key order and its constructor."""
+    if depth > config._MAX_NESTING:
+        return f"{where}: nested more than {config._MAX_NESTING} levels deep"
+    kind = fn.get("kind") if isinstance(fn, dict) else None
+    if kind == "negated":
+        return (_key_fault(fn, {"kind", "fn"}, {"fn"}, where)
+                or _fn_fault(fn["fn"], where + ".fn", depth + 1))
+    if kind == "sum":
+        fault = _key_fault(fn, {"kind", "terms"}, {"terms"}, where)
+        if fault is not None:
+            return fault
+        if not (isinstance(fn["terms"], list) and fn["terms"]):
+            return f"{where}: 'terms' must be a non-empty list"
+        faults = (_fn_fault(t, f"{where}.terms[{i}]", depth + 1)
+                  for i, t in enumerate(fn["terms"]))
+        return next(filter(None, faults), None)
+    if kind not in FLAT_KINDS:
+        return f"{where}: unknown edge function kind {kind!r}"
+    cls = FLAT_KINDS[kind][0]
+    fault = _key_fault(
+        fn, {f.name for f in dataclasses.fields(cls)} | {"kind"},
+        {"kind"} | {f.name for f in dataclasses.fields(cls)
+                    if f.default is dataclasses.MISSING},
+        where,
+    )
+    if fault is not None:
+        return fault
     params = {}
     for key, v in fn.items():
         if key == "kind":
@@ -688,6 +726,19 @@ def _edge_fault(e, where):
     except ValidationError as exc:
         return f"{where}: {exc}"
     return None
+
+
+def _edge_fault(e, where):
+    """The error of one edge alone: key and integer checks, then its fn."""
+    if not isinstance(e, dict):
+        return f"{where}: expected an object"
+    fault = _key_fault(e, EDGE_KEYS, EDGE_KEYS, where)
+    if fault is not None:
+        return fault
+    for key in ("id", "tail", "head"):
+        if type(e[key]) is not int:
+            return f"{where}.{key}: expected an integer, got {e[key]!r}"
+    return _fn_fault(e["fn"], where + ".fn")
 
 
 def _expected_error(doc):
@@ -709,18 +760,48 @@ def _expected_error(doc):
     return None
 
 
+def _specs_in(fn, kinds):
+    """The dict specs of the given kinds anywhere in an edge function."""
+    if not isinstance(fn, dict):
+        return []
+    found = [fn] if fn.get("kind") in kinds else []
+    if fn.get("kind") == "negated":
+        found += _specs_in(fn.get("fn"), kinds)
+    if fn.get("kind") == "sum" and isinstance(fn.get("terms"), list):
+        for term in fn["terms"]:
+            found += _specs_in(term, kinds)
+    return found
+
+
 def _inject(doc, data):
     """One fault at a random edge: a bad number, a bad parameter, a key too
-    many or too few, a non-integer or duplicate id, a self-loop or a node out
-    of range."""
+    many or too few, a non-integer or duplicate id, a self-loop, a node out
+    of range, a fault inside a flat term of a nested function, an empty
+    sum, or nesting near and beyond the limit."""
     edges, n = doc["edges"], doc["nodes"]["count"]
     i = data.draw(st.integers(0, len(edges) - 1))
     e = edges[i]
     fault = data.draw(st.sampled_from([
         "number", "alpha", "band", "edge_key", "fn_key", "drop_edge_key",
-        "drop_fn_key", "id", "duplicate", "self_loop", "range",
+        "drop_fn_key", "id", "duplicate", "self_loop", "range", "term",
+        "empty_terms", "deep",
     ]))
     fn = e.get("fn") if isinstance(e.get("fn"), dict) else {}
+    if fault == "term":
+        # The same faults, on a flat spec at any depth of the function.
+        flat = _specs_in(fn, FLAT_KINDS.keys())
+        if not flat:
+            return
+        fn = data.draw(st.sampled_from(flat))
+        fault = data.draw(st.sampled_from(["number", "fn_key", "drop_fn_key", "param"]))
+        if fault == "param":
+            fn.clear()
+            fn.update(data.draw(st.sampled_from([
+                {"kind": "power_sign", "w": 1, "alpha": 1.5},
+                {"kind": "dead_zone", "w": 2.0, "band": -0.5},
+                {"kind": "linear", "w": float("inf")},
+                {"kind": "ramp", "w": 1.0},
+            ])))
     names = [k for k in fn if k != "kind"]
     if fault == "number" and names:
         fn[data.draw(st.sampled_from(names))] = data.draw(st.sampled_from(
@@ -749,9 +830,19 @@ def _inject(doc, data):
     elif fault == "range":
         e[data.draw(st.sampled_from(["tail", "head"]))] = data.draw(
             st.sampled_from([0, -3, n + 1, n + 7, 10**400]))
+    elif fault == "empty_terms":
+        sums = _specs_in(fn, {"sum"})
+        target = data.draw(st.sampled_from(sums)) if sums else fn
+        target.clear()
+        target.update({"kind": "sum", "terms": []})
+    elif fault == "deep" and "fn" in e:
+        # Wrapping the function in _MAX_NESTING - 1 negations keeps a flat
+        # one within the limit; one more puts it a level beyond.
+        for _ in range(config._MAX_NESTING - data.draw(st.integers(0, 1))):
+            e["fn"] = {"kind": "negated", "fn": e["fn"]}
 
 
-@given(doc=flat_configs(), data=st.data())
+@given(doc=edge_configs(), data=st.data())
 @settings(max_examples=400, deadline=None)
 def test_columnar_edges_report_the_first_fault(doc, data):
     for _ in range(data.draw(st.integers(1, 2))):
@@ -763,20 +854,36 @@ def test_columnar_edges_report_the_first_fault(doc, data):
     assert str(caught.value) == want
 
 
-@given(doc=flat_configs())
+def _expected_fn(fn):
+    """The edge function of a well-formed spec, built by its constructors."""
+    if fn["kind"] == "negated":
+        return Negated(_expected_fn(fn["fn"]))
+    if fn["kind"] == "sum":
+        return Sum(tuple(map(_expected_fn, fn["terms"])))
+    return FLAT_KINDS[fn["kind"]][0](
+        **{k: float(v) for k, v in fn.items() if k != "kind"})
+
+
+def _flat_terms(fn):
+    if isinstance(fn, Negated):
+        return _flat_terms(fn.inner)
+    if isinstance(fn, Sum):
+        return [leaf for term in fn.terms for leaf in _flat_terms(term)]
+    return [fn]
+
+
+@given(doc=edge_configs())
 @settings(max_examples=300, deadline=None)
 def test_columnar_edges_equal_constructed_objects(doc):
     by_id = sorted(doc["edges"], key=lambda e: e["id"])
-    # Valid flat-kind configs never fall back to the edge-by-edge reader.
+    # Valid configs of flat and nested kinds never fall back to the
+    # edge-by-edge reader.
     with mock.patch.object(config, "_edge_rows", side_effect=AssertionError):
         cfg = parse_config(json.dumps(doc))
     n = doc["nodes"]["count"]
     assert cfg.graph == Graph(n, tuple(Edge(e["id"], e["tail"], e["head"]) for e in by_id))
-    want = tuple(
-        FLAT_KINDS[e["fn"]["kind"]][0](
-            **{k: float(v) for k, v in e["fn"].items() if k != "kind"})
-        for e in by_id
-    )
-    assert cfg.edge_functions == want
+    assert cfg.edge_functions == tuple(_expected_fn(e["fn"]) for e in by_id)
     for fn in cfg.edge_functions:
-        assert all(type(getattr(fn, f.name)) is float for f in dataclasses.fields(fn))
+        for leaf in _flat_terms(fn):
+            assert all(type(getattr(leaf, f.name)) is float
+                       for f in dataclasses.fields(leaf))
