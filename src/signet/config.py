@@ -11,16 +11,18 @@ keys, types, defaults and checks (finiteness included) from the dataclass
 each builds.  Edge functions nest at most ``_MAX_NESTING`` levels deep.
 
 The edge list, by far the largest section, is read a column at a time
-(``_edge_columns``): each check runs once over all edges, the parameters of
-each flat analytic kind through that kind's one validator
-(``edgefn.parameter_violation``), and the edge objects are then made
-without checking them again.  The flat terms of nested kinds join their
-kind's columns, and the nested objects are assembled around them.  A
-list with a malformed edge is read again edge by edge (``_edge_rows``),
-which raises the error of the first malformed edge by list position; the
-graph's own checks (ids, self-loops, node ranges) come after those.  A
-node count above edges + 1 cannot form a connected graph and is rejected
-before anything is allocated per node.
+(``_edge_columns``) by the reader of one edge (``_edge_function``): given
+a collector, it makes each flat analytic spec an empty object of its kind,
+recorded next to its spec, and builds the nested kinds around these
+placeholders (top-level flat specs, the bulk of a large list, skip the
+walk).  Each check then runs once per kind over all its specs, nested or
+not, the parameters through that kind's one validator
+(``edgefn.parameter_violation``), and the placeholders are then filled
+without checking them again.  A list with a malformed edge is read again
+edge by edge (``_edge_rows``), which raises the error of the first
+malformed edge by list position; the graph's own checks (ids, self-loops,
+node ranges) come after those.  A node count above edges + 1 cannot form
+a connected graph and is rejected before anything is allocated per node.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+from collections import defaultdict
 from collections.abc import Set
 from dataclasses import MISSING, dataclass, fields
 from itertools import chain, repeat
@@ -55,8 +58,6 @@ _MAX_NESTING = 32
 _EDGE_KEYS = frozenset({"id", "tail", "head", "fn"})
 _EDGE_ENDS = itemgetter("id", "tail", "head")
 _FN = itemgetter("fn")
-_NEGATED_KEYS = frozenset({"kind", "fn"})
-_SUM_KEYS = frozenset({"kind", "terms"})
 _NUMBER_TYPES = frozenset({int, float})
 
 
@@ -167,17 +168,27 @@ def _build(cls: type, spec, where: str, keyed: bool = False):
 
 
 def _edge_function(
-    spec, where: str, base_dir: Optional[Path], depth: int = 1
+    spec, where: str, base_dir: Optional[Path], depth: int = 1,
+    leaves: Optional[dict] = None,
 ) -> ef.EdgeFunction:
+    """The edge function of a spec, checked and built; with ``leaves``, each
+    flat analytic spec in it is instead an empty object, recorded with its
+    spec in ``leaves[cls]`` (two lists) for ``_edge_columns`` to fill."""
     if depth > _MAX_NESTING:
         raise ValidationError(f"{where}: nested more than {_MAX_NESTING} levels deep")
     kind = spec.get("kind") if isinstance(spec, dict) else None
     if isinstance(kind, str) and kind in _EDGE_KINDS:
-        return _build(_EDGE_KINDS[kind], spec, where, keyed=True)
+        cls = _EDGE_KINDS[kind]
+        if leaves is None:
+            return _build(cls, spec, where, keyed=True)
+        group, objs = leaves[cls]
+        group.append(spec)
+        objs.append(object.__new__(cls))
+        return objs[-1]
     if kind == "negated":
         _require_keys(spec, {"kind", "fn"}, {"fn"}, where)
         return ef.Negated(
-            _edge_function(spec["fn"], where + ".fn", base_dir, depth + 1)
+            _edge_function(spec["fn"], where + ".fn", base_dir, depth + 1, leaves)
         )
     if kind == "sum":
         _require_keys(spec, {"kind", "terms"}, {"terms"}, where)
@@ -185,7 +196,7 @@ def _edge_function(
             raise ValidationError(f"{where}: 'terms' must be a non-empty list")
         return ef.Sum(
             tuple(
-                _edge_function(t, f"{where}.terms[{i}]", base_dir, depth + 1)
+                _edge_function(t, f"{where}.terms[{i}]", base_dir, depth + 1, leaves)
                 for i, t in enumerate(spec["terms"])
             )
         )
@@ -212,49 +223,9 @@ def _edge_rows(specs: list, base_dir: Optional[Path]) -> tuple[list, list]:
     for i, e in enumerate(specs):
         where = f"edges[{i}]"
         _require_keys(e, _EDGE_KEYS, _EDGE_KEYS, where)
-        edges.append(
-            Edge(
-                _integer(e["id"], where + ".id"),
-                _integer(e["tail"], where + ".tail"),
-                _integer(e["head"], where + ".head"),
-            )
-        )
+        edges.append(Edge(*(_integer(e[k], f"{where}.{k}") for k in Edge._fields)))
         fns.append(_edge_function(e["fn"], where + ".fn", base_dir))
     return edges, fns
-
-
-def _nested_plan(spec, base_dir: Optional[Path], depth: int, leaves: dict) -> tuple:
-    """The shape of an edge function spec for ``_edge_columns``: (kind,
-    position) for a flat analytic leaf appended to ``leaves[kind]``
-    unchecked, (Negated, plan) or (Sum, plans) for a well-formed nested
-    kind, else (None, the object) read by ``_edge_function``, whose
-    ValidationError propagates (``_edge_rows`` then reports it)."""
-    kind = spec.get("kind") if isinstance(spec, dict) else None
-    if depth <= _MAX_NESTING:
-        if isinstance(kind, str) and kind in _EDGE_KINDS:
-            group = leaves.setdefault(kind, [])
-            group.append(spec)
-            return kind, len(group) - 1
-        if kind == "negated" and spec.keys() == _NEGATED_KEYS:
-            return ef.Negated, _nested_plan(spec["fn"], base_dir, depth + 1, leaves)
-        if kind == "sum" and spec.keys() == _SUM_KEYS:
-            terms = spec["terms"]
-            if isinstance(terms, list) and terms:
-                return ef.Sum, [
-                    _nested_plan(t, base_dir, depth + 1, leaves) for t in terms
-                ]
-    return None, _edge_function(spec, "edge function", base_dir, depth)
-
-
-def _assemble(plan: tuple, built: dict) -> ef.EdgeFunction:
-    """The edge function of a ``_nested_plan``, its flat leaves taken from
-    ``built[kind]`` by position."""
-    kind, arg = plan
-    if kind is ef.Negated:
-        return ef.Negated(_assemble(arg, built))
-    if kind is ef.Sum:
-        return ef.Sum(tuple(_assemble(t, built) for t in arg))
-    return arg if kind is None else built[kind][arg]
 
 
 def _edge_columns(specs: list, base_dir: Optional[Path]) -> Optional[tuple[list, list]]:
@@ -262,11 +233,11 @@ def _edge_columns(specs: list, base_dir: Optional[Path]) -> Optional[tuple[list,
     edge is malformed.
 
     Each check runs once over a column: the keys and integers of all edges,
-    then per flat analytic kind the keys, numbers and parameters
-    (``edgefn.parameter_violation``) of its edges and of the flat terms
-    nested in ``sum`` and ``negated`` specs, whose objects are then made
-    without checking them again and assembled into their nested functions.
-    Sampled tables take ``_edge_function``.
+    then the structure of every function but the top-level flat specs
+    (``_edge_function`` with a collector), then per flat analytic kind the
+    keys, numbers and parameters (``edgefn.parameter_violation``) of its
+    specs at every depth, whose placeholders are then filled without
+    checking them again.
     """
     try:
         edges = list(map(Edge._make, map(_EDGE_ENDS, specs)))
@@ -281,22 +252,23 @@ def _edge_columns(specs: list, base_dir: Optional[Path]) -> Optional[tuple[list,
     if set(map(type, chain.from_iterable(edges))) != {int}:
         return None
     fns: list = [None] * len(specs)
-    plans: dict = {}
-    leaves: dict = {}
+    leaves: defaultdict = defaultdict(lambda: ([], []))
     try:
         for kind, at in positions.items():
-            if kind not in _EDGE_KINDS:
+            cls = _EDGE_KINDS.get(kind)
+            if cls is None:
                 for i in at:
-                    plans[i] = _nested_plan(fn_specs[i], base_dir, 1, leaves)
+                    fns[i] = _edge_function(fn_specs[i], "", base_dir, leaves=leaves)
+                continue
+            # Top-level flat specs, the bulk of a large list, skip the walker.
+            group, objs = leaves[cls]
+            group.extend(map(fn_specs.__getitem__, at))
+            for i in at:
+                fns[i] = object.__new__(cls)
+            objs.extend(map(fns.__getitem__, at))
     except ValidationError:
         return None
-    built: dict = {}
-    for kind in {**positions, **leaves}:
-        cls = _EDGE_KINDS.get(kind)
-        if cls is None:
-            continue
-        at = positions.get(kind, ())
-        group = [fn_specs[i] for i in at] + leaves.get(kind, [])
+    for cls, (group, objs) in leaves.items():
         _, allowed, required = _schema(cls, True)
         if not all(required <= set(keys) <= allowed for keys in set(map(tuple, group))):
             return None
@@ -311,12 +283,7 @@ def _edge_columns(specs: list, base_dir: Optional[Path]) -> Optional[tuple[list,
             return None
         if ef.parameter_violation(cls, columns) is not None:
             return None
-        objs = ef.unchecked(cls, columns)
-        for i, fn in zip(at, objs):
-            fns[i] = fn
-        built[kind] = objs[len(at):]
-    for i, plan in plans.items():
-        fns[i] = _assemble(plan, built)
+        ef.fill_unchecked(objs, columns)
     return edges, fns
 
 

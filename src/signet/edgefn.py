@@ -44,6 +44,9 @@ _ZERO_TOL = 1e-12
 
 # Argument and result of the elementwise methods of edge and node kinds.
 FloatOrArray = Union[float, np.ndarray]
+# Most samples of any grid, as many as a simulation may record rows; a
+# larger count would allocate gigabytes of grid values.
+_MAX_SAMPLES = 10**6
 
 
 @dataclass(frozen=True)
@@ -65,6 +68,10 @@ class GridSpec:
             raise InvalidGrid(
                 f"grid needs {'an odd count of ' if odd else ''}at least "
                 f"{min_samples} samples, got {self.samples}"
+            )
+        if self.samples > _MAX_SAMPLES:
+            raise InvalidGrid(
+                f"grid allows at most {_MAX_SAMPLES} samples, got {self.samples}"
             )
 
     def points(self) -> np.ndarray:
@@ -202,16 +209,13 @@ def check_parameters(obj) -> None:
         raise ValidationError(found[1])
 
 
-def unchecked(kind: type, columns) -> list:
-    """One object of a dataclass kind per row of parameter columns that
-    ``parameter_violation`` passed, made without ``__post_init__``; the
-    fields hold the rows' values as Python floats."""
-    values = [np.asarray(c, dtype=float).tolist() for c in columns.values()]
-    objs = [object.__new__(kind) for _ in values[0]]
-    for name, column in zip(columns, values):
-        for obj, value in zip(objs, column):
+def fill_unchecked(objs, columns) -> None:
+    """Set the fields of empty objects of one dataclass kind, one object per
+    row of parameter columns that ``parameter_violation`` passed, without
+    ``__post_init__``; the fields hold the rows' values as Python floats."""
+    for name, column in columns.items():
+        for obj, value in zip(objs, np.asarray(column, dtype=float).tolist()):
             object.__setattr__(obj, name, value)
-    return objs
 
 
 class EdgeFunction:

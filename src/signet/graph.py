@@ -153,12 +153,10 @@ def laplacian(g: Graph, weights) -> np.ndarray:
     return (E * w) @ E.T
 
 
-def _adjacency(g: Graph, keep: Optional[Callable[[Edge], bool]]):
-    """Node -> sorted list of (neighbor, edge) over edges passing ``keep``."""
+def _adjacency(g: Graph):
+    """Node -> sorted list of (neighbor, edge)."""
     adj: dict[int, list[tuple[int, Edge]]] = {v: [] for v in range(1, g.node_count + 1)}
     for e in g.edges:
-        if keep is not None and not keep(e):
-            continue
         adj[e.tail].append((e.head, e))
         adj[e.head].append((e.tail, e))
     for v in adj:
@@ -209,7 +207,7 @@ def edge_blocks(g: Graph) -> tuple[int, ...]:
     edge counts as a back edge.  O(node_count + edge_count) after sorting
     the adjacency lists.
     """
-    adj = _adjacency(g, None)
+    adj = _adjacency(g)
     disc = [0] * (g.node_count + 1)  # discovery time, 0 = unvisited
     low = [0] * (g.node_count + 1)
     labels = [-1] * g.edge_count
@@ -294,7 +292,7 @@ def least_path_cost(
     """
     for v in (i, j):
         g.node(v)
-    adj = _adjacency(g, None)
+    adj = _adjacency(g)
     best = {i: 0.0}
     done: set[int] = set()
     heap = [(0.0, i)]
@@ -333,7 +331,7 @@ def all_simple_paths(
         )
     if i == j:
         return [Path((), i, j)]
-    adj = _adjacency(g, None)
+    adj = _adjacency(g)
     out: list[Path] = []
     steps: list[PathStep] = []
     visited = {i}

@@ -168,30 +168,17 @@ class ReducedLaplacian:
         pos[free] = np.arange(free.size)
         pt, ph = pos[tail], pos[head]
         size = free.size
-        t_free, h_free = pt >= 0, ph >= 0
-        both = t_free & h_free
         self.free = free
         self.size = size
-        self.flat = np.concatenate([
-            pt[t_free] * (size + 1),
-            ph[h_free] * (size + 1),
-            pt[both] * size + ph[both],
-            ph[both] * size + pt[both],
-        ])
-        self.edge = np.concatenate([
-            np.flatnonzero(t_free),
-            np.flatnonzero(h_free),
-            np.flatnonzero(both),
-            np.flatnonzero(both),
-        ])
-        self.sign = np.concatenate([
-            np.ones(int(t_free.sum()) + int(h_free.sum())),
-            -np.ones(2 * int(both.sum())),
-        ])
-        self.pinned = np.concatenate([
-            pt[(head == p - 1) & t_free],
-            ph[(tail == p - 1) & h_free],
-        ])
+        # The four entries of each edge: +d_k at (tail, tail) and (head,
+        # head), -d_k at (tail, head) and (head, tail).
+        rows, cols = np.stack([pt, ph, pt, ph]), np.stack([pt, ph, ph, pt])
+        keep = (rows >= 0) & (cols >= 0)
+        self.flat = (rows * size + cols)[keep]
+        self.edge = np.broadcast_to(np.arange(tail.size), keep.shape)[keep]
+        self.sign = np.broadcast_to([[1.0], [1.0], [-1.0], [-1.0]], keep.shape)[keep]
+        # The free end of each edge to p: the row of an entry in column p.
+        self.pinned = rows[2:][(np.stack([head, tail]) == p - 1) & (rows[2:] >= 0)]
 
     def matrix(self, d: np.ndarray) -> np.ndarray:
         """(E_free * d) @ E_free.T without forming E."""

@@ -12,7 +12,7 @@ scope.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable, Union
 
 import numpy as np
@@ -28,16 +28,15 @@ class NodeDynamics:
 
     def __post_init__(self):
         check_parameters(self)
-
-    def gamma(self, u: FloatOrArray) -> FloatOrArray:
-        raise NotImplementedError
-
-    def _assert_sector(self) -> None:
-        # Cheap construction-time guard on a coarse grid.
-        if not sector_check(self, GridSpec(10.0, 101)):
+        # A cheap guard on a coarse grid, after the parameter checks, for
+        # the kinds whose sector condition depends on their parameters.
+        if fields(self) and not sector_check(self, GridSpec(10.0, 101)):
             raise ValidationError(
                 f"{type(self).__name__}: u*gamma(u) must be positive off 0"
             )
+
+    def gamma(self, u: FloatOrArray) -> FloatOrArray:
+        raise NotImplementedError
 
 
 @dataclass(frozen=True)
@@ -54,15 +53,12 @@ class SignPower(NodeDynamics):
 
     c: float
     beta: float
-
-    def __post_init__(self):
-        super().__post_init__()
-        if not (self.c > 0):
-            raise ValidationError(f"gain c must be > 0, got {self.c}")
-        # beta <= 1 keeps gamma locally Lipschitz away from 0.
-        if not (0.0 < self.beta <= 1.0):
-            raise ValidationError(f"exponent beta must be in (0, 1], got {self.beta}")
-        self._assert_sector()
+    # beta <= 1 keeps gamma locally Lipschitz away from 0.
+    _bounds = (
+        ("c", lambda c: c > 0, "gain c must be > 0, got {}"),
+        ("beta", lambda beta: (0.0 < beta) & (beta <= 1.0),
+         "exponent beta must be in (0, 1], got {}"),
+    )
 
     def gamma(self, u: FloatOrArray) -> FloatOrArray:
         return np.copysign(power(np.abs(u), self.beta), u) * self.c
@@ -74,12 +70,10 @@ class Saturating(NodeDynamics):
 
     c: float
     s: float
-
-    def __post_init__(self):
-        super().__post_init__()
-        if not (self.c > 0 and self.s > 0):
-            raise ValidationError("saturating dynamics need c > 0 and s > 0")
-        self._assert_sector()
+    _bounds = (
+        ("c", lambda c: c > 0, "saturating dynamics need c > 0 and s > 0"),
+        ("s", lambda s: s > 0, "saturating dynamics need c > 0 and s > 0"),
+    )
 
     def gamma(self, u: FloatOrArray) -> FloatOrArray:
         return self.c * np.tanh(u / self.s)

@@ -315,6 +315,18 @@ def test_cli_rejects_unusable_grid_half_width(tmp_path, capsys, command, half_wi
     assert err.count("\n") == 1 and err.startswith("error: InvalidGrid")
 
 
+@pytest.mark.parametrize("command", ["classify", "predict"])
+@pytest.mark.parametrize("samples", ["1000001", "1000000001"])
+def test_cli_rejects_grid_over_the_sample_cap(tmp_path, capsys, command, samples):
+    # Rejected before any grid is allocated (10^9 samples would need 7.5 GiB).
+    cfg = tmp_path / "net.json"
+    cfg.write_text(doc())
+    assert run_cli(command, "--config", cfg, "--out", tmp_path / "o",
+                   "--grid-m", samples) == 2
+    assert capsys.readouterr().err == (
+        f"error: InvalidGrid: grid allows at most 1000000 samples, got {samples}\n")
+
+
 def assert_one_error_line(capsys, kind):
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith(f"error: {kind}")
@@ -322,7 +334,7 @@ def assert_one_error_line(capsys, kind):
 
 @pytest.mark.parametrize("eqfun", [
     {"n": 1e200}, {"n": float("inf")}, {"n": float("nan")}, {"n": 0}, {"n": -1},
-    {"samples": 1}, {"samples": 100},
+    {"samples": 1}, {"samples": 100}, {"samples": 1000001}, {"samples": 1000000001},
 ])
 def test_cli_rejects_unusable_eqfun_grid(tmp_path, capsys, eqfun):
     # 1e200 is finite, but the margins square the grid points
@@ -639,26 +651,42 @@ def flat_fn_specs(draw):
     return dict(draw(st.permutations(items)))
 
 
+@st.composite
+def table_specs(draw):
+    """An inline sampled table, keys in a random order: 2-7 knots with
+    strictly increasing zetas, one of them zero with mu zero there."""
+    below = draw(st.lists(st.integers(-9, -1) | st.floats(-9, -0.01),
+                          max_size=3, unique=True))
+    above = draw(st.lists(st.integers(1, 9) | st.floats(0.01, 9),
+                          min_size=0 if below else 1, max_size=3, unique=True))
+    zetas = sorted(below) + [draw(st.sampled_from([0, 0.0]))] + sorted(above)
+    mus = [draw(st.integers(-5, 5) | st.floats(-10, 10)) for _ in zetas]
+    mus[len(below)] = draw(st.sampled_from([0, 0.0]))
+    items = [("kind", "sampled_table"), ("zeta", zetas), ("mu", mus)]
+    return dict(draw(st.permutations(items)))
+
+
 def _sum_specs(terms):
     return st.builds(lambda ts: {"kind": "sum", "terms": ts},
                      st.lists(terms, min_size=1, max_size=3))
 
 
-# Flat specs, sums of 1-3 flat terms, negations of either, and a sum of
-# negations: nested up to three levels.
+# Leaves (flat specs and inline tables), sums of 1-3 leaves, negations of
+# either, and a sum of negations: nested up to three levels.
+leaf_specs = flat_fn_specs() | table_specs()
 fn_specs = st.one_of(
-    flat_fn_specs(),
-    _sum_specs(flat_fn_specs()),
+    leaf_specs,
+    _sum_specs(leaf_specs),
     st.builds(lambda fn: {"kind": "negated", "fn": fn},
-              flat_fn_specs() | _sum_specs(flat_fn_specs())),
-    _sum_specs(st.builds(lambda fn: {"kind": "negated", "fn": fn}, flat_fn_specs())),
+              leaf_specs | _sum_specs(leaf_specs)),
+    _sum_specs(st.builds(lambda fn: {"kind": "negated", "fn": fn}, leaf_specs)),
 )
 
 
 @st.composite
 def edge_configs(draw):
     """Config documents of 1..12 edges on at most edges + 1 nodes, listed in
-    a random order, each function flat or nested over flat terms."""
+    a random order, each function a leaf or nested over leaves."""
     m = draw(st.integers(1, 12))
     n = draw(st.integers(2, m + 1))
     edges = []
@@ -686,8 +714,9 @@ def _key_fault(fn, allowed, required, where):
 
 def _fn_fault(fn, where, depth=1):
     """The error of one edge function spec: its nesting depth, its kind,
-    its keys, then a nested kind's parts in order, or a flat kind's numbers
-    in key order and its constructor."""
+    its keys, then a nested kind's parts in order, a table's zeta then mu
+    lists and its constructor's message, or a flat kind's numbers in key
+    order and its constructor."""
     if depth > config._MAX_NESTING:
         return f"{where}: nested more than {config._MAX_NESTING} levels deep"
     kind = fn.get("kind") if isinstance(fn, dict) else None
@@ -703,6 +732,24 @@ def _fn_fault(fn, where, depth=1):
         faults = (_fn_fault(t, f"{where}.terms[{i}]", depth + 1)
                   for i, t in enumerate(fn["terms"]))
         return next(filter(None, faults), None)
+    if kind == "sampled_table":
+        fault = _key_fault(fn, {"kind", "csv", "zeta", "mu"}, set(), where)
+        if fault is not None:
+            return fault
+        columns = []
+        for key in ("zeta", "mu"):
+            values = fn.get(key)
+            if not isinstance(values, list):
+                return f"{where}.{key}: expected a list of numbers"
+            for i, v in enumerate(values):
+                if type(v) not in (int, float):
+                    return f"{where}.{key}[{i}]: expected a number, got {v!r}"
+            columns.append(tuple(map(_as_float, values)))
+        try:
+            SampledTable(*columns)
+        except ValidationError as exc:
+            return str(exc)
+        return None
     if kind not in FLAT_KINDS:
         return f"{where}: unknown edge function kind {kind!r}"
     cls = FLAT_KINDS[kind][0]
@@ -773,26 +820,56 @@ def _specs_in(fn, kinds):
     return found
 
 
+def _faulty_table(data):
+    """An inline table with one fault: unsorted zetas, not vanishing at 0,
+    columns of unequal length, a non-number or non-finite entry, or an
+    unknown key."""
+    table = data.draw(table_specs())
+    zetas, mus = table["zeta"], table["mu"]
+    fault = data.draw(st.sampled_from(["unsorted", "offset", "length", "entry", "key"]))
+    if fault == "unsorted":
+        zetas.reverse()
+    elif fault == "offset":
+        offset = data.draw(st.sampled_from([1, -0.5, 1e-6]))
+        table["mu"] = [v + offset for v in mus]
+    elif fault == "length":
+        del data.draw(st.sampled_from([zetas, mus]))[-1]
+    elif fault == "entry":
+        column = data.draw(st.sampled_from([zetas, mus]))
+        column[data.draw(st.integers(0, len(column) - 1))] = data.draw(st.sampled_from(
+            [True, "1", None, [0.0], 10**400, float("nan"), float("inf")]))
+    else:
+        table["w"] = 1.0
+    return table
+
+
 def _inject(doc, data):
     """One fault at a random edge: a bad number, a bad parameter, a key too
     many or too few, a non-integer or duplicate id, a self-loop, a node out
-    of range, a fault inside a flat term of a nested function, an empty
-    sum, or nesting near and beyond the limit."""
+    of range, a fault inside a leaf of a nested function, a faulty table in
+    place of a leaf at any depth, an empty sum, or nesting near and beyond
+    the limit."""
     edges, n = doc["edges"], doc["nodes"]["count"]
     i = data.draw(st.integers(0, len(edges) - 1))
     e = edges[i]
     fault = data.draw(st.sampled_from([
         "number", "alpha", "band", "edge_key", "fn_key", "drop_edge_key",
         "drop_fn_key", "id", "duplicate", "self_loop", "range", "term",
-        "empty_terms", "deep",
+        "table", "empty_terms", "deep",
     ]))
     fn = e.get("fn") if isinstance(e.get("fn"), dict) else {}
+    leaves = _specs_in(fn, FLAT_KINDS.keys() | {"sampled_table"})
+    if fault == "table":
+        if leaves:
+            target = data.draw(st.sampled_from(leaves))
+            target.clear()
+            target.update(_faulty_table(data))
+        return
     if fault == "term":
-        # The same faults, on a flat spec at any depth of the function.
-        flat = _specs_in(fn, FLAT_KINDS.keys())
-        if not flat:
+        # The same faults, on a flat spec or table at any depth of the function.
+        if not leaves:
             return
-        fn = data.draw(st.sampled_from(flat))
+        fn = data.draw(st.sampled_from(leaves))
         fault = data.draw(st.sampled_from(["number", "fn_key", "drop_fn_key", "param"]))
         if fault == "param":
             fn.clear()
@@ -860,6 +937,8 @@ def _expected_fn(fn):
         return Negated(_expected_fn(fn["fn"]))
     if fn["kind"] == "sum":
         return Sum(tuple(map(_expected_fn, fn["terms"])))
+    if fn["kind"] == "sampled_table":
+        return SampledTable(tuple(map(float, fn["zeta"])), tuple(map(float, fn["mu"])))
     return FLAT_KINDS[fn["kind"]][0](
         **{k: float(v) for k, v in fn.items() if k != "kind"})
 
@@ -876,8 +955,8 @@ def _flat_terms(fn):
 @settings(max_examples=300, deadline=None)
 def test_columnar_edges_equal_constructed_objects(doc):
     by_id = sorted(doc["edges"], key=lambda e: e["id"])
-    # Valid configs of flat and nested kinds never fall back to the
-    # edge-by-edge reader.
+    # Valid configs of flat and nested kinds and of tables never fall back
+    # to the edge-by-edge reader.
     with mock.patch.object(config, "_edge_rows", side_effect=AssertionError):
         cfg = parse_config(json.dumps(doc))
     n = doc["nodes"]["count"]
@@ -885,5 +964,8 @@ def test_columnar_edges_equal_constructed_objects(doc):
     assert cfg.edge_functions == tuple(_expected_fn(e["fn"]) for e in by_id)
     for fn in cfg.edge_functions:
         for leaf in _flat_terms(fn):
-            assert all(type(getattr(leaf, f.name)) is float
-                       for f in dataclasses.fields(leaf))
+            if isinstance(leaf, SampledTable):
+                assert all(type(v) is float for v in leaf.zetas + leaf.mus)
+            else:
+                assert all(type(getattr(leaf, f.name)) is float
+                           for f in dataclasses.fields(leaf))

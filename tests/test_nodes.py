@@ -60,3 +60,22 @@ def test_parameter_validation():
         SignPower(1.0, 1.5)
     with pytest.raises(ValidationError):
         Saturating(1.0, 0.0)
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: SignPower(-1.0, 0.5), "gain c must be > 0, got -1.0"),
+    (lambda: SignPower(0.0, 1.5), "gain c must be > 0, got 0.0"),
+    (lambda: SignPower(2.0, 1.5), "exponent beta must be in (0, 1], got 1.5"),
+    (lambda: SignPower(2.0, 0.0), "exponent beta must be in (0, 1], got 0.0"),
+    (lambda: Saturating(0.0, 1.0), "saturating dynamics need c > 0 and s > 0"),
+    (lambda: Saturating(1.0, -2.0), "saturating dynamics need c > 0 and s > 0"),
+    # Finiteness is checked first, on every field, then the bounds.
+    (lambda: SignPower(-1.0, float("nan")), "SignPower.beta must be finite, got nan"),
+    (lambda: SignPower(float("nan"), 0.5), "SignPower.c must be finite, got nan"),
+    (lambda: Saturating(0.0, float("nan")), "Saturating.s must be finite, got nan"),
+    (lambda: Saturating(float("inf"), 1.0), "Saturating.c must be finite, got inf"),
+])
+def test_parameter_messages(make, message):
+    with pytest.raises(ValidationError) as caught:
+        make()
+    assert str(caught.value) == message
