@@ -57,7 +57,6 @@ from .errors import (
     NonFiniteState,
     NonLinearEdges,
     NotAnInterval,
-    NotSteady,
     ParseError,
     SignetError,
     UnsupportedDynamics,
@@ -86,13 +85,11 @@ from .sim import (
     Outcome,
     OutcomeKind,
     SimConfig,
-    SteadyTension,
     Trajectory,
     classify_outcome,
     cocontent_profile,
     quadratic_storage_profile,
     simulate,
-    steady_tension,
     write_trajectory_csv,
 )
 

@@ -1,17 +1,23 @@
 """Convergence predictors: decide, before simulating, what a network will do.
 
-The dispatcher tries the strongest applicable sufficient condition and
-returns a verdict with the certificates that back it:
+``predict`` returns the verdict of the first rung of one ladder of
+sufficient conditions that holds, tagged ``applied_result``, with the
+certificates that back it:
 
-* a connected spanning subnetwork of strictly positive edges guarantees
-  agreement of all outputs;
-* an all-positive network always converges, possibly into clusters;
-* non-strictly-positive edges no two of which share a cycle are tested one
-  by one: passivity of each edge function plus the equivalent edge function
-  of the remaining strictly positive two-terminal network guarantees
-  convergence.  With a single such edge, agreement follows when the sum is
-  strictly passive, and a unique cycle through the edge pins the possible
-  cluster counts to {1, cycle length}.
+* strictly positive edges that do not span the network give
+  ``positive-network`` (convergence, possibly into clusters) when every
+  edge is positive, else ``none``;
+* a spanning strictly positive subnetwork gives agreement:
+  ``strictly-positive-network`` when it is the whole network,
+  ``spanning-strictly-positive-subnetwork`` when the rest is positive;
+* otherwise no two of the other edges may share a cycle, the strictly
+  positive rest must be monotone, and each edge function plus the rest's
+  equivalent edge function must be passive (else ``none``).  Several edges
+  give ``cycle-separated-equivalent-passivity`` (convergence).  One edge
+  gives ``strict-equivalent-passivity`` (agreement) when the sum is
+  strictly passive, ``single-cycle-cluster-count`` (counts {1, cycle
+  length}) when one cycle passes through it, else ``equivalent-passivity``
+  (convergence).
 
 The graph queries behind these verdicts and behind ``distance_bounds`` run
 in polynomial time (biconnected blocks and shortest paths, see
@@ -62,18 +68,33 @@ class Verdict(enum.Enum):
     NO_GUARANTEE = "no_guarantee"
 
 
+# The verdict each applied_result tag stands for.
+_VERDICTS = {
+    "strictly-positive-network": Verdict.AGREEMENT_GUARANTEED,
+    "spanning-strictly-positive-subnetwork": Verdict.AGREEMENT_GUARANTEED,
+    "strict-equivalent-passivity": Verdict.AGREEMENT_GUARANTEED,
+    "single-cycle-cluster-count": Verdict.CLUSTER_COUNT_PREDICTION,
+    "equivalent-passivity": Verdict.CONVERGENCE_GUARANTEED,
+    "cycle-separated-equivalent-passivity": Verdict.CONVERGENCE_GUARANTEED,
+    "positive-network": Verdict.CONVERGENCE_GUARANTEED,
+    "none": Verdict.NO_GUARANTEE,
+}
+
+
 @dataclass(frozen=True)
 class PassivityConditionReport:
     """Grid evaluation of s(z) = (psi_hat(z) + equivalent(z)) * z.
 
     ``holds`` means s >= -1e-9 at every sample; ``strict`` additionally
-    requires s > 0 away from a 1e-9 neighborhood of the origin.
+    requires s > 0 away from a 1e-9 neighborhood of the origin, where
+    ``margin_min`` is the least margin (inf when no sample lies there).
     """
 
     holds: bool
     strict: bool
     zetas: np.ndarray
     margin: np.ndarray
+    margin_min: float
     table: EquivalentEdgeTable
 
 
@@ -114,17 +135,14 @@ def equivalent_passivity_condition(
     p: int,
     q: int,
     grid: ef.GridSpec,
-    table: Optional[EquivalentEdgeTable] = None,
 ) -> PassivityConditionReport:
     """Test passivity of psi_hat plus the two-terminal equivalent function.
 
     The equivalent edge function of the remaining network between p and q is
     sampled on the grid; the report carries the margin curve
-    s(z) = (psi_hat(z) + equivalent(z)) * z there.  Passing a precomputed
-    ``table`` (for the same network and terminals) skips the sweep.
+    s(z) = (psi_hat(z) + equivalent(z)) * z there.
     """
-    if table is None:
-        table = equivalent_edge_function(positive_part, p, q, grid)
+    table = equivalent_edge_function(positive_part, p, q, grid)
     zetas = table.zetas
     margin = (psi_hat(zetas) + table.mus) * zetas
     # Scale-aware tolerance: solver residue in the sampled flows enters the
@@ -134,7 +152,16 @@ def equivalent_passivity_condition(
     holds = bool(np.all(margin >= -tol))
     off_origin = np.abs(zetas) > _STRICTNESS_TOL
     strict = holds and bool(np.all(margin[off_origin] > tol[off_origin]))
-    return PassivityConditionReport(holds, strict, zetas, margin, table)
+    margin_min = float(margin[off_origin].min()) if off_origin.any() else np.inf
+    return PassivityConditionReport(holds, strict, zetas, margin, margin_min, table)
+
+
+def _cycle_counts(g: Graph, edge_id: int) -> Optional[CycleClusterCount]:
+    """{1, cycle length} when exactly one cycle passes through the edge."""
+    cycle = unique_cycle_through_edge(g, edge_id)
+    if cycle is None:
+        return None
+    return CycleClusterCount(frozenset({1, cycle.node_count()}), cycle)
 
 
 def cluster_count_prediction(
@@ -159,79 +186,63 @@ def cluster_count_prediction(
             f"edge {edge_id} must be the only non-strictly-positive edge, "
             f"found {non_strict}"
         )
-    cycle = unique_cycle_through_edge(system.graph, edge_id)
-    if cycle is None:
+    counts = _cycle_counts(system.graph, edge_id)
+    if counts is None:
         raise Inapplicable(f"edge {edge_id} does not lie on exactly one cycle")
-    return CycleClusterCount(frozenset({1, cycle.node_count()}), cycle)
+    return counts
 
 
 def predict(system: NetworkSystem, grid: ef.GridSpec) -> Prediction:
-    """Strongest applicable convergence verdict with certificates.
-
-    Dispatch order: spanning strictly positive subnetwork (agreement), a
-    single non-strict edge with the equivalent-passivity test (agreement
-    when strict; cluster counts when a unique cycle exists), all edges
-    positive (convergence), several cycle-separated non-strict edges, and
-    otherwise NoGuarantee.  Classes and sweeps share the grid.
-    """
+    """Verdict of the first rung of the module's ladder that holds, with
+    certificates; classes and sweeps share the grid."""
     classes = classify_edges(system, grid)
-    certificates: dict = {"sign_classes": classes, "grid": grid}
-    sp_ids = [
+    sp_ids = tuple(
         e.id for e, c in zip(system.graph.edges, classes) if c.is_strictly_positive
-    ]
+    )
+    certificates: dict = {
+        "sign_classes": classes, "grid": grid, "strictly_positive_edges": sp_ids,
+    }
     sp_set = set(sp_ids)
-    certificates["strictly_positive_edges"] = tuple(sp_ids)
     all_positive = all(c.is_positive for c in classes)
-    sp_blocks = connected_components(system.graph, lambda e: e.id in sp_set)
-
-    if all_positive and len(sp_blocks) == 1:
-        tag = (
-            "strictly-positive-network"
-            if len(sp_ids) == system.edge_count
-            else "spanning-strictly-positive-subnetwork"
-        )
-        return Prediction(Verdict.AGREEMENT_GUARANTEED, tag, None, certificates)
-
-    if len(sp_blocks) == 1:
-        non_strict = [e.id for e in system.graph.edges if e.id not in sp_set]
-        verdict = _predict_non_strict(system, non_strict, certificates)
-        if verdict is not None:
-            return verdict
-
-    if all_positive:
-        return Prediction(
-            Verdict.CONVERGENCE_GUARANTEED, "positive-network", None, certificates
-        )
-    return Prediction(Verdict.NO_GUARANTEE, "none", None, certificates)
+    counts = None
+    if len(connected_components(system.graph, lambda e: e.id in sp_set)) != 1:
+        tag = "positive-network" if all_positive else "none"
+    elif len(sp_ids) == system.edge_count:
+        tag = "strictly-positive-network"
+    elif all_positive:
+        tag = "spanning-strictly-positive-subnetwork"
+    else:
+        tag, counts = _predict_non_strict(system, certificates)
+    return Prediction(_VERDICTS[tag], tag, counts, certificates)
 
 
-def _predict_non_strict(system, non_strict, certificates):
-    """Equivalent passivity of non-strict edges no two of which share a cycle.
+def _predict_non_strict(system, certificates):
+    """The last rung of the ladder, under a spanning strictly positive rest.
 
-    The strictly positive rest must be connected.  Returns None when the
-    test does not apply: two of the edges share a cycle, or the rest is not
-    monotone.  A single edge is the k = 1 case, the only one that can
-    certify agreement or predict cluster counts.
+    Returns the ``applied_result`` tag and the cluster counts.  A single
+    non-strict edge is the k = 1 case, the only one that can certify
+    agreement or predict cluster counts.
     """
-    g = system.graph
+    g, grid = system.graph, certificates["grid"]
+    positive_ids = certificates["strictly_positive_edges"]
+    non_strict = sorted(set(range(1, system.edge_count + 1)) - set(positive_ids))
     labels = edge_blocks(g)
     if len({labels[k - 1] for k in non_strict}) < len(non_strict):
-        return None
-    positive_ids = certificates["strictly_positive_edges"]
+        return "none", None
     positive_part = NetworkSystem(
         edge_subgraph(g, positive_ids)[0],
         system.node_dynamics,
         [system.edge_functions[k - 1] for k in positive_ids],
     )
-    monotone = edge_monotonicity(positive_part, certificates["grid"])
+    monotone = edge_monotonicity(positive_part, grid)
     if not all(r.nondecreasing for r in monotone):
-        return None
+        return "none", None
     reports = {}
     for hat_id in non_strict:
         hat_edge = g.edge(hat_id)
         report = equivalent_passivity_condition(
             positive_part, system.edge_functions[hat_id - 1],
-            hat_edge.tail, hat_edge.head, certificates["grid"],
+            hat_edge.tail, hat_edge.head, grid,
         )
         reports[hat_id] = report
         if not report.holds:
@@ -241,37 +252,17 @@ def _predict_non_strict(system, non_strict, certificates):
         certificates["condition"] = report
         certificates["terminal_edge"] = hat_id
     if not report.holds:
-        return Prediction(Verdict.NO_GUARANTEE, "none", None, certificates)
+        return "none", None
     if len(non_strict) > 1:
-        return Prediction(
-            Verdict.CONVERGENCE_GUARANTEED,
-            "cycle-separated-equivalent-passivity",
-            None,
-            certificates,
-        )
+        return "cycle-separated-equivalent-passivity", None
     if report.strict:
-        return Prediction(
-            Verdict.AGREEMENT_GUARANTEED,
-            "strict-equivalent-passivity",
-            None,
-            certificates,
-        )
-    cycle = unique_cycle_through_edge(g, hat_id)
-    if cycle is None:
-        return Prediction(
-            Verdict.CONVERGENCE_GUARANTEED,
-            "equivalent-passivity",
-            None,
-            certificates,
-        )
-    certificates["cycle"] = cycle
-    certificates["cycle_length"] = cycle.node_count()
-    return Prediction(
-        Verdict.CLUSTER_COUNT_PREDICTION,
-        "single-cycle-cluster-count",
-        frozenset({1, cycle.node_count()}),
-        certificates,
-    )
+        return "strict-equivalent-passivity", None
+    counts = _cycle_counts(g, hat_id)
+    if counts is None:
+        return "equivalent-passivity", None
+    certificates["cycle"] = counts.cycle
+    certificates["cycle_length"] = counts.cycle.node_count()
+    return "single-cycle-cluster-count", counts.counts
 
 
 def distance_bounds(system: NetworkSystem, i: int, j: int) -> tuple[float, float]:

@@ -23,7 +23,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import Optional, TextIO
+from typing import Optional
 
 import numpy as np
 
@@ -326,9 +326,9 @@ def solve_operating_point(
 class EquivalentEdgeTable:
     """Sampled equivalent edge function between two terminals.
 
-    Stores the flow into the network at p for each sampled terminal tension,
-    with piecewise-linear interpolation between samples.  Serializes to a
-    two-column CSV (zeta, mu) and re-imports as a SampledTable edge function.
+    Stores the flow into the network at p for each sampled terminal tension.
+    ``as_edge_function()`` interpolates it piecewise linearly, and saves and
+    re-imports it as a two-column CSV (zeta, mu).
     """
 
     zetas: np.ndarray
@@ -343,14 +343,8 @@ class EquivalentEdgeTable:
         object.__setattr__(self, "zetas", z)
         object.__setattr__(self, "mus", m)
 
-    def __call__(self, zeta: float) -> float:
-        return self._fn(zeta)
-
     def as_edge_function(self) -> ef.SampledTable:
         return self._fn
-
-    def save_csv(self, fh: TextIO) -> None:
-        self._fn.save_csv(fh)
 
 
 def equivalent_edge_function(

@@ -1,8 +1,9 @@
 """Command-line interface: simulate / classify / eqfun / predict.
 
 Every command reads a JSON config and writes its artifacts into the output
-directory.  Outputs are deterministic: identical inputs produce
-byte-identical files.  Only ``classify`` and ``predict`` take
+directory, which is made with the first artifact: a command that fails
+before writing leaves none.  Outputs are deterministic: identical inputs
+produce byte-identical files.  Only ``classify`` and ``predict`` take
 ``--grid-n``/``--grid-m``: both classify edges on that grid (``GridSpec()``
 by default), and ``predict`` sweeps on it; ``eqfun`` sweeps the config's
 grid.  This module alone writes stderr: ``eqfun`` prints one ``warning:``
@@ -16,6 +17,7 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
+from typing import TextIO
 
 import numpy as np
 
@@ -38,12 +40,19 @@ def _g17(x: float) -> str:
     return format(float(x), ".17g")
 
 
+def _artifact(out: Path, name: str) -> TextIO:
+    """Open an artifact for writing, making ``out`` on the first one, so
+    that a command that fails before writing leaves no directory."""
+    out.mkdir(parents=True, exist_ok=True)
+    return open(out / name, "w", newline="")
+
+
 def _cmd_simulate(cfg: NetworkConfig, out: Path) -> None:
     if cfg.sim is None or cfg.initial_state is None:
         raise ValidationError("simulate needs 'sim' and 'initial_state' sections")
     system = cfg.build_system()
     tr = simulate(system, cfg.initial_state, cfg.sim)
-    with open(out / "trajectory.csv", "w", newline="") as fh:
+    with _artifact(out, "trajectory.csv") as fh:
         write_trajectory_csv(tr, fh)
     outcome = classify_outcome(system, tr, cfg.sim)
     lines = [
@@ -71,7 +80,8 @@ def _cmd_simulate(cfg: NetworkConfig, out: Path) -> None:
             for e, m in zip(system.graph.edges, member)
         )
         lines.append(f"equilibria_membership: {rendered}")
-    (out / "outcome.txt").write_text("\n".join(lines) + "\n")
+    with _artifact(out, "outcome.txt") as fh:
+        fh.write("\n".join(lines) + "\n")
 
 
 def _cmd_classify(cfg: NetworkConfig, out: Path, grid: GridSpec) -> None:
@@ -81,7 +91,8 @@ def _cmd_classify(cfg: NetworkConfig, out: Path, grid: GridSpec) -> None:
     for e, c in zip(system.graph.edges, classes):
         witness = "" if c.witness is None else _g17(c.witness)
         rows.append(f"{e.id},{c.label.value},{_g17(c.margin)},{witness}")
-    (out / "classification.csv").write_text("\n".join(rows) + "\n")
+    with _artifact(out, "classification.csv") as fh:
+        fh.write("\n".join(rows) + "\n")
 
 
 def _cmd_eqfun(cfg: NetworkConfig, out: Path) -> None:
@@ -93,8 +104,8 @@ def _cmd_eqfun(cfg: NetworkConfig, out: Path) -> None:
     table = circuit.equivalent_edge_function(
         system, cfg.eqfun.p, cfg.eqfun.q, cfg.eqfun.grid
     )
-    with open(out / "eqfun.csv", "w", newline="") as fh:
-        table.save_csv(fh)
+    with _artifact(out, "eqfun.csv") as fh:
+        table.as_edge_function().save_csv(fh)
 
 
 def _cmd_predict(cfg: NetworkConfig, out: Path, grid: GridSpec) -> None:
@@ -120,11 +131,11 @@ def _cmd_predict(cfg: NetworkConfig, out: Path, grid: GridSpec) -> None:
         )
     condition = pred.certificates.get("condition")
     if condition is not None:
-        off = np.abs(condition.zetas) > 1e-9
         lines.append(f"condition_holds: {'yes' if condition.holds else 'no'}")
         lines.append(f"condition_strict: {'yes' if condition.strict else 'no'}")
-        lines.append(f"margin_min: {_g17(condition.margin[off].min())}")
-    (out / "prediction.txt").write_text("\n".join(lines) + "\n")
+        lines.append(f"margin_min: {_g17(condition.margin_min)}")
+    with _artifact(out, "prediction.txt") as fh:
+        fh.write("\n".join(lines) + "\n")
 
 
 _COMMANDS = {
@@ -166,9 +177,7 @@ def main(argv=None) -> int:
     try:
         grid_arg = (GridSpec(args.grid_n, args.grid_m),) if "grid_n" in args else ()
         cfg = load_config(args.config)
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        _COMMANDS[args.command][0](cfg, out, *grid_arg)
+        _COMMANDS[args.command][0](cfg, Path(args.out), *grid_arg)
     except (SignetError, OSError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         solver = isinstance(exc, (NoConvergence, NonFiniteState))

@@ -89,14 +89,6 @@ class NetworkConfig:
     initial_state: Optional[np.ndarray]
     eqfun: Optional[EqfunSpec]
 
-    @property
-    def node_count(self) -> int:
-        return self.graph.node_count
-
-    @property
-    def edges(self) -> tuple[Edge, ...]:
-        return self.graph.edges
-
     def build_system(self) -> NetworkSystem:
         return NetworkSystem(self.graph, self.dynamics, self.edge_functions)
 
@@ -375,10 +367,10 @@ def parse_config(text: str, base_dir: Optional[Path] = None) -> NetworkConfig:
 
 
 def load_config(path) -> NetworkConfig:
-    """Read and parse a config file, resolving table paths next to it."""
+    """Read and parse a UTF-8 config file, resolving table paths next to it."""
     path = Path(path)
     try:
-        text = path.read_text()
-    except OSError as exc:
+        text = path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise ValidationError(f"cannot read config {path}: {exc}") from exc
     return parse_config(text, base_dir=path.parent)

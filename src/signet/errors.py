@@ -33,10 +33,6 @@ class NotAnInterval(SignetError):
     """Zero set of an edge function around the origin is not an interval."""
 
 
-class NotSteady(SignetError):
-    """Trajectory did not settle, so steady-state queries are undefined."""
-
-
 class NoConvergence(SignetError):
     """Operating-point iteration hit its cap before meeting the tolerance."""
 

@@ -18,13 +18,7 @@ from typing import Optional, TextIO
 
 import numpy as np
 
-from .analysis import equilibria_membership
-from .errors import (
-    DimensionMismatch,
-    NonFiniteState,
-    NotSteady,
-    ValidationError,
-)
+from .errors import DimensionMismatch, NonFiniteState, ValidationError
 from .network import NetworkSystem
 
 # Limits far above the largest shipped run (300 000 steps), so that a huge
@@ -252,33 +246,6 @@ def classify_outcome(
     return Outcome(
         OutcomeKind.UNDECIDED, final_u_norm=tr.final_u_norm, spread=spread
     )
-
-
-@dataclass(frozen=True)
-class SteadyTension:
-    """Final tension with per-edge equilibria membership.
-
-    ``in_equilibria`` holds True/False per edge, or None when the edge's
-    zero set is not an interval (membership then has no bracket to test).
-    """
-
-    zeta: np.ndarray
-    in_equilibria: tuple[Optional[bool], ...]
-
-
-def steady_tension(
-    system: NetworkSystem, tr: Trajectory, cfg: SimConfig
-) -> SteadyTension:
-    """Tension at the settled state, with equilibria membership per edge.
-
-    Raises NotSteady unless the outcome classifies as agreement or
-    clustering.  Membership is tested within cluster_tol.
-    """
-    outcome = classify_outcome(system, tr, cfg)
-    if outcome.kind not in (OutcomeKind.AGREEMENT, OutcomeKind.CLUSTERING):
-        raise NotSteady(f"outcome is {outcome.kind.value}")
-    zeta = system.tension(tr.final_state)
-    return SteadyTension(zeta, equilibria_membership(system, zeta, cfg.cluster_tol))
 
 
 def quadratic_storage_profile(tr: Trajectory) -> np.ndarray:

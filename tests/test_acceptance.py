@@ -291,9 +291,9 @@ def test_05_eleven_node_scenarios(eleven_suite):
         # the output span settles at the boundary of the combined zero set
         report = equivalent_passivity_condition(
             eleven_suite["positive_net"], r3["fn"], 1, 4, GridSpec(100.0, 2001),
-            table=table,
         )
         assert report.holds and not report.strict
+        assert np.array_equal(report.table.mus, table.mus)
         tol = 1e-9 * (1.0 + report.zetas**2)
         zero_run = np.abs(report.margin) <= tol
         boundary = float(np.max(np.abs(report.zetas[zero_run])))

@@ -161,11 +161,109 @@ def test_predict_cycle_separated_non_strict_edges():
     assert len(pred.certificates["conditions"]) == 2
 
 
+def _net(n, edges, fns):
+    g = Graph(n, tuple(Edge(k, a, b) for k, (a, b) in enumerate(edges, start=1)))
+    return NetworkSystem(g, [Identity()] * n, fns)
+
+
+_TRIANGLE = [(1, 2), (2, 3), (1, 3)]
+_K4 = [(1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)]
+_BASE = {"sign_classes", "grid", "strictly_positive_edges"}
+_ONE_CONDITION = _BASE | {"conditions", "condition", "terminal_edge"}
+
+
+def _k4_at_the_passivity_boundary():
+    # Edge 1 weighs -1/R, R the resistance of the other five edges between
+    # its ends: the margin vanishes, and the edge lies on several cycles.
+    rest = Graph(4, tuple(Edge(k, a, b) for k, (a, b) in enumerate(_K4[1:], start=1)))
+    r = effective_resistance(rest, np.ones(5), 1, 2)
+    return _net(4, _K4, [Linear(-1.0 / r)] + [Linear(1.0)] * 5)
+
+
+# (network, verdict, applied_result, cluster_counts, certificate keys)
+_LADDER = {
+    "strictly-positive": (
+        lambda: _net(3, _TRIANGLE, [Linear(1.0)] * 3),
+        Verdict.AGREEMENT_GUARANTEED, "strictly-positive-network", None, _BASE),
+    "spanning-core": (
+        lambda: _net(3, _TRIANGLE, [Linear(1.0), Linear(1.0), DeadZone(1.0)]),
+        Verdict.AGREEMENT_GUARANTEED, "spanning-strictly-positive-subnetwork",
+        None, _BASE),
+    "positive-without-core": (
+        lambda: _net(3, _TRIANGLE[:2], [Linear(1.0), DeadZone(1.0)]),
+        Verdict.CONVERGENCE_GUARANTEED, "positive-network", None, _BASE),
+    "negative-without-core": (
+        lambda: _net(3, _TRIANGLE[:2], [Linear(1.0), Linear(-1.0)]),
+        Verdict.NO_GUARANTEE, "none", None, _BASE),
+    "strict-passivity": (
+        lambda: series_plus_closing(-0.25),
+        Verdict.AGREEMENT_GUARANTEED, "strict-equivalent-passivity", None,
+        _ONE_CONDITION),
+    "single-cycle": (
+        lambda: series_plus_closing(-1 / 3),
+        Verdict.CLUSTER_COUNT_PREDICTION, "single-cycle-cluster-count",
+        frozenset({1, 3}), _ONE_CONDITION | {"cycle", "cycle_length"}),
+    "boundary-on-several-cycles": (
+        _k4_at_the_passivity_boundary,
+        Verdict.CONVERGENCE_GUARANTEED, "equivalent-passivity", None,
+        _ONE_CONDITION),
+    "cycle-separated": (
+        lambda: _net(5, [(1, 2), (2, 3), (3, 1), (3, 4), (4, 5), (5, 3)],
+                     [Linear(1.0), Linear(1.0), Negated(Linear(0.05))] * 2),
+        Verdict.CONVERGENCE_GUARANTEED, "cycle-separated-equivalent-passivity",
+        None, _BASE | {"conditions"}),
+    "two-non-strict-edges-in-one-block": (
+        lambda: _net(4, [(1, 2), (2, 3), (3, 4), (4, 1), (1, 3)],
+                     [Linear(1.0)] * 3 + [Linear(-0.1)] * 2),
+        Verdict.NO_GUARANTEE, "none", None, _BASE),
+    "rest-not-monotone": (
+        lambda: _net(3, _TRIANGLE, [Sum((Linear(0.5), Sinusoid(2.0))),
+                                    Linear(1.0), Linear(-0.1)]),
+        Verdict.NO_GUARANTEE, "none", None, _BASE),
+    "condition-fails": (
+        lambda: _net(3, _TRIANGLE, [Linear(1.0), Linear(1.0),
+                                    Negated(Linear(1.0))]),
+        Verdict.NO_GUARANTEE, "none", None, _ONE_CONDITION),
+}
+
+
+@pytest.mark.parametrize("case", list(_LADDER))
+def test_predict_ladder_pins_every_applied_result(case):
+    make, verdict, tag, counts, keys = _LADDER[case]
+    net = make()
+    grid = GridSpec(10.0, 201)
+    pred = predict(net, grid)
+    assert (pred.verdict, pred.applied_result, pred.cluster_counts) == (
+        verdict, tag, counts)
+    assert set(pred.certificates) == keys
+    classes = classify_edges(net, grid)
+    assert pred.certificates["sign_classes"] == classes
+    assert pred.certificates["grid"] == grid
+    assert pred.certificates["strictly_positive_edges"] == tuple(
+        e.id for e, c in zip(net.graph.edges, classes) if c.is_strictly_positive
+    )
+    if "terminal_edge" in keys:
+        (hat,) = set(range(1, net.edge_count + 1)) - set(
+            pred.certificates["strictly_positive_edges"])
+        assert pred.certificates["terminal_edge"] == hat
+        assert list(pred.certificates["conditions"]) == [hat]
+        assert pred.certificates["condition"] is pred.certificates["conditions"][hat]
+    if counts is not None:
+        assert counts == {1, pred.certificates["cycle_length"]}
+        assert pred.certificates["cycle"].node_count() == pred.certificates["cycle_length"]
+
+
 def test_equivalent_passivity_condition_linear_margins(series_network):
     rep = equivalent_passivity_condition(series_network, Linear(-0.25), 1, 3,
                                          COARSE)
     assert rep.holds and rep.strict
     np.testing.assert_allclose(rep.margin, rep.zetas**2 / 12.0, atol=1e-8)
+    off_origin = np.abs(rep.zetas) > 1e-9
+    assert rep.margin_min == rep.margin[off_origin].min() > 0.0
+    # no sample of so narrow a grid lies outside the origin's neighbourhood
+    narrow = equivalent_passivity_condition(series_network, Linear(-0.25), 1, 3,
+                                            GridSpec(1e-10, 101))
+    assert narrow.margin_min == np.inf
 
     rep0 = equivalent_passivity_condition(series_network, Linear(-1 / 3), 1, 3,
                                           COARSE)

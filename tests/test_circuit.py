@@ -207,7 +207,7 @@ def test_precondition_warning_for_dead_zone():
 def test_equivalent_edge_table_series(series_network):
     table = equivalent_edge_function(series_network, 1, 3, GridSpec(100.0, 201))
     np.testing.assert_allclose(table.mus, table.zetas / 3.0, atol=1e-8)
-    assert table(3.0) == pytest.approx(1.0, abs=1e-9)
+    assert table.as_edge_function()(3.0) == pytest.approx(1.0, abs=1e-9)
     assert table.mus[100] == 0.0
 
 
@@ -330,15 +330,16 @@ def test_sweep_matches_reference_replay(case):
 
 def test_table_csv_roundtrip_and_reuse(series_network, tmp_path):
     table = equivalent_edge_function(series_network, 1, 3, GridSpec(10.0, 21))
+    eq = table.as_edge_function()
     buf = io.StringIO()
-    table.save_csv(buf)
+    eq.save_csv(buf)
     path = tmp_path / "eq.csv"
     path.write_text(buf.getvalue())
     fn = SampledTable.load_csv(path)
     spacing = table.zetas[1] - table.zetas[0]
     for z in np.linspace(-9.5, 9.5, 40):
         slope = abs(fn.derivative(z))
-        assert abs(fn(z) - table(z)) <= spacing * max(slope, 1e-12) + 1e-12
+        assert abs(fn(z) - eq(z)) <= spacing * max(slope, 1e-12) + 1e-12
 
 
 def test_effective_resistance_values(triangle_unit_network):

@@ -49,7 +49,7 @@ def test_minimal_config_parses():
 
 def test_eleven_node_config_parses(config_dir):
     cfg = load_config(config_dir / "eleven_node_negative_f1.json")
-    assert cfg.node_count == 11 and len(cfg.edges) == 14
+    assert cfg.graph.node_count == 11 and cfg.graph.edge_count == 14
     weights = [f.w for f in cfg.edge_functions[:13]]
     alphas = [f.alpha for f in cfg.edge_functions[:13]]
     assert weights == [3, 2, 4, 1, 2, 1, 3, 2, 2, 1, 1, 1, 2]
@@ -61,7 +61,6 @@ def test_eleven_node_config_parses(config_dir):
 def test_config_keeps_its_validated_graph():
     cfg = parse_config(doc())
     assert cfg.build_system().graph is cfg.graph
-    assert (cfg.node_count, cfg.edges) == (cfg.graph.node_count, cfg.graph.edges)
 
 
 def test_edges_listed_out_of_id_order_keep_their_functions():
@@ -277,6 +276,35 @@ def test_cli_rejects_oversized_runs_while_parsing(tmp_path, capsys, sim):
     for command in ("simulate", "classify"):
         assert run_cli(command, "--config", cfg, "--out", tmp_path / "o") == 2
         assert_one_line_validation_error(capsys)
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command, args, code, kind", [
+    ("classify", ("--grid-m", "1000001"), 2, "InvalidGrid"),
+    ("predict", ("--grid-n", "nan"), 2, "InvalidGrid"),
+    ("eqfun", (), 3, "NoConvergence"),
+])
+def test_cli_failure_before_any_artifact_leaves_no_out_directory(
+    config_dir, tmp_path, capsys, command, args, code, kind
+):
+    # The eqfun objective is unbounded below, so the sweep fails at once.
+    document = json.loads((config_dir / "three_node_series.json").read_text())
+    document["edges"][1]["fn"]["w"] = -1.0
+    document["eqfun"]["samples"] = 11
+    cfg = tmp_path / "net.json"
+    cfg.write_text(json.dumps(document))
+    assert run_cli(command, "--config", cfg, "--out", tmp_path / "o", *args) == code
+    assert capsys.readouterr().err.splitlines()[-1].startswith(f"error: {kind}: ")
+    assert not (tmp_path / "o").exists()
+
+
+def test_cli_rejects_a_config_that_is_not_utf8(tmp_path, capsys):
+    cfg = tmp_path / "bad.json"
+    cfg.write_bytes(b'\xff\xfe{"nodes": 1}')
+    assert run_cli("classify", "--config", cfg, "--out", tmp_path / "o") == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: ValidationError: cannot read config {cfg}: ")
+    assert err.count("\n") == 1 and "utf-8" in err
     assert not (tmp_path / "o").exists()
 
 

@@ -6,8 +6,9 @@ import math
 import numpy as np
 import pytest
 
+from signet.analysis import equilibria_membership
 from signet.edgefn import Linear
-from signet.errors import NonFiniteState, NotSteady, ValidationError
+from signet.errors import NonFiniteState, ValidationError
 from signet.graph import Edge, Graph
 from signet.network import NetworkSystem
 from signet.nodes import Identity
@@ -19,7 +20,6 @@ from signet.sim import (
     cocontent_profile,
     quadratic_storage_profile,
     simulate,
-    steady_tension,
     write_trajectory_csv,
 )
 
@@ -156,19 +156,26 @@ def test_six_node_clustering(six_clustering_network, six_clustering_run, six_sim
     assert 0.0 < gap <= 1.0
 
 
+def _steady_tension(net, tr, cfg):
+    """Settled tension and its equilibria membership within cluster_tol."""
+    zeta = classify_outcome(net, tr, cfg).steady_tension
+    return zeta, equilibria_membership(net, zeta, cfg.cluster_tol)
+
+
 def test_steady_tension_membership(six_clustering_network, six_clustering_run, six_sim_cfg):
-    st = steady_tension(six_clustering_network, six_clustering_run, six_sim_cfg)
-    assert all(m is True for m in st.in_equilibria)
+    zeta, member = _steady_tension(six_clustering_network, six_clustering_run, six_sim_cfg)
+    assert all(m is True for m in member)
     # the dead-zone bridge carries the inter-cluster gap
-    assert abs(st.zeta[0]) <= 1.0 + six_sim_cfg.cluster_tol
+    assert abs(zeta[0]) <= 1.0 + six_sim_cfg.cluster_tol
 
 
 def test_steady_tension_vanishes_at_agreement(
     six_agreement_network, six_agreement_run, six_sim_cfg
 ):
-    st = steady_tension(six_agreement_network, six_agreement_run, six_sim_cfg)
-    assert np.max(np.abs(st.zeta)) < six_sim_cfg.cluster_tol
-    assert all(m is True for m in st.in_equilibria)
+    zeta, member = _steady_tension(six_agreement_network, six_agreement_run, six_sim_cfg)
+    assert np.array_equal(zeta, six_agreement_network.tension(six_agreement_run.final_state))
+    assert np.max(np.abs(zeta)) < six_sim_cfg.cluster_tol
+    assert all(m is True for m in member)
 
 
 def test_steady_tension_requires_settled_outcome():
@@ -176,8 +183,9 @@ def test_steady_tension_requires_settled_outcome():
     cfg = SimConfig(t_end=0.01, dt=1e-3, record_every=1, u_tol=1e-15,
                     window=5e-3, cluster_tol=1e-9)
     tr = simulate(net, np.array([5.0, -5.0]), cfg)
-    with pytest.raises(NotSteady):
-        steady_tension(net, tr, cfg)
+    outcome = classify_outcome(net, tr, cfg)
+    assert outcome.kind is OutcomeKind.UNDECIDED
+    assert outcome.steady_tension is None
 
 
 class _BrokenEquilibria(Linear):
@@ -195,7 +203,7 @@ def test_steady_tension_propagates_equilibria_errors():
     cfg = SimConfig(t_end=2.0, dt=1e-3, record_every=100, u_tol=1e-9, window=1.0)
     tr = simulate(net, np.array([2.0, 2.0]), cfg)
     with pytest.raises(ValueError, match="zero set unavailable"):
-        steady_tension(net, tr, cfg)
+        _steady_tension(net, tr, cfg)
 
 
 def test_quadratic_storage_decreases_on_positive_networks(
