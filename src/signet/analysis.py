@@ -152,7 +152,8 @@ def equivalent_passivity_condition(
     holds = bool(np.all(margin >= -tol))
     off_origin = np.abs(zetas) > _STRICTNESS_TOL
     strict = holds and bool(np.all(margin[off_origin] > tol[off_origin]))
-    margin_min = float(margin[off_origin].min()) if off_origin.any() else np.inf
+    # A boundary's zero run holds both signed zeros; + 0.0 makes min's +0.
+    margin_min = float(margin[off_origin].min()) + 0.0 if off_origin.any() else np.inf
     return PassivityConditionReport(holds, strict, zetas, margin, margin_min, table)
 
 

@@ -14,8 +14,9 @@ while they halve the gradient (quadratic convergence away from power-law
 kinks), else a chord-majorized (Kacanov-type) Newton step with an Armijo
 backtracking line search, and a gradient step where the Hessian is
 unavailable (dead-zone flats) or unbounded (power laws at zero tension).
-Sweeps predict each sample by a secant through the previous two.  Only a
-read of an operating point's degeneracy flag factorizes its Hessian.
+Sweeps predict each sample by a secant through the previous two, and
+evaluate runs of such predictions in one array pass.  Only a read of an
+operating point's degeneracy flag factorizes its Hessian.
 """
 
 from __future__ import annotations
@@ -46,6 +47,11 @@ _ARMIJO_C = 1e-4
 _GRAD_TOL = 1e-10
 _MAX_HALVINGS = 60
 _MAX_ITER = 10_000
+# Sweep blocks: from _BLOCK_MIN rows, once that many samples in a row were
+# accepted at their prediction, doubling after each fully accepted block up
+# to _BLOCK_MAX.  A smaller block costs more than the evaluations it saves.
+_BLOCK_MIN = 4
+_BLOCK_MAX = 64
 
 
 @dataclass(frozen=True)
@@ -175,15 +181,13 @@ def _harmonic_start(
     return y
 
 
-# Power-law slopes are infinite at zero tension, chord slopes divide by the
-# tension and an unbounded objective overflows; the solve checks finiteness.
-@np.errstate(divide="ignore", invalid="ignore", over="ignore")
 def solve_operating_point(
     system: NetworkSystem,
     p: int,
     q: int,
     zeta_pq: float,
     warm_start: Optional[np.ndarray] = None,
+    _first: Optional[tuple] = None,
 ) -> OperatingPoint:
     """Operating point of the two-terminal network at a given terminal tension.
 
@@ -198,128 +202,139 @@ def solve_operating_point(
 
     Raises NoConvergence after ``_MAX_ITER`` iterations, or as soon as the
     objective or its gradient is not finite (an objective unbounded below).
+
+    ``_first``, private to ``equivalent_edge_function``, is a finite row of
+    its block pass: this solve's first evaluation, made there.
     """
+    if _first is not None and _first[3] <= _GRAD_TOL:
+        y, _, outflow, _, _, _, zeta_bar, mu_bar = _first
+        return OperatingPoint(y, zeta_bar, mu_bar, float(outflow[p - 1]), (p, q),
+                              int(system.node_count > 2), system)
     for v in (p, q):
         system.graph.node(v, "terminal")
     if p == q:
         raise ValidationError("terminals must be distinct nodes")
-
-    block = system.reduced_laplacian(p, q)
-    free = block.free
-    if warm_start is None:
-        y = _harmonic_start(system, block, p, zeta_pq)
-    else:
-        y = np.array(warm_start, dtype=float)
-        y[p - 1] = zeta_pq
-        y[q - 1] = 0.0
-
-    n, tail, head = system.node_count, system.tail, system.head
-    flow, cocontent = system._flow, system._cocontent
-
-    def evaluate(yv: np.ndarray):
-        """(yv, objective, net outflow E mu per node, its max |.| over the
-        free nodes, where it is the objective's gradient, tension, flow)."""
-        zeta = yv[tail] - yv[head]
-        mu = flow(zeta)
-        # Every sample evaluates at least once; the ufunc reductions are what
-        # ndarray.sum/.all/.max call, without their Python-level wrappers.
-        F = float(np.add.reduce(cocontent(zeta)))
-        outflow = np.bincount(tail, mu, n) - np.bincount(head, mu, n)
-        if not (math.isfinite(F) and np.logical_and.reduce(np.isfinite(outflow))):
-            raise NoConvergence(
-                f"objective or gradient not finite at zeta_pq = {zeta_pq:.6g}; "
-                "the cocontent may be unbounded below"
-            )
-        g_norm = float(np.maximum.reduce(np.abs(outflow[free]), initial=0.0))
-        return yv, F, outflow, g_norm, zeta, mu
-
-    def moved(step: float, direction: np.ndarray):
-        y_try = y.copy()
-        y_try[free] += step * direction
-        return evaluate(y_try)
-
-    def newton_direction(d: np.ndarray, g: np.ndarray) -> Optional[np.ndarray]:
-        """Descent direction of the slope model ``d`` on the free block, or
-        None.  The derivative clamp keeps the system solvable when power-law
-        slopes blow up at zero tension (it pins those tensions, their optimum).
-        """
-        if not (d >= 0.0).all():
-            return None
-        H = block.matrix(d)
-        try:
-            direction = np.linalg.solve(H, -g)
-        except np.linalg.LinAlgError:
-            try:
-                reg = 1e-10 * (1.0 + float(d.max()))
-                direction = np.linalg.solve(H + reg * np.eye(free.size), -g)
-            except np.linalg.LinAlgError:
-                return None
-        return direction if float(g @ direction) < 0.0 else None
-
-    iterations = 0
-    y, F, outflow, g_norm, zeta, mu = evaluate(y)
-    if free.size:
-        for iterations in range(1, _MAX_ITER + 1):
-            if g_norm <= _GRAD_TOL:
-                break
-            g = outflow[free]
-            # No accepted step may visibly raise the objective: near the
-            # minimum its drop falls below float resolution before g's does.
-            F_cap = F + 1e-12 * (1.0 + abs(F))
-            exact = _exact_slopes(system, zeta)
-            direction = newton_direction(exact, g)
-            trial = None if direction is None else moved(1.0, direction)
-            if trial is None or trial[3] > 0.5 * g_norm or trial[1] > F_cap:
-                direction = newton_direction(_chord_slopes(zeta, mu, exact), g)
-                if direction is None:
-                    direction = -g
-                # A clamped-slope Newton system can pin coordinates that must
-                # move (power-law edges sitting exactly at zero tension); when
-                # the step degenerates to numerically nothing, take a gradient
-                # step to pull those edges off the kink.
-                if np.abs(direction).max() < 1e-13 * (1.0 + np.abs(y).max()):
-                    direction = -g
-                slope = float(g @ direction)
-                # Within a decade of the tolerance the float sum of the
-                # cocontent no longer registers progress, so only gradient
-                # decrease counts there.
-                use_armijo = g_norm > 1e1 * _GRAD_TOL
-                step = 1.0
-                for _ in range(_MAX_HALVINGS):
-                    trial = moved(step, direction)
-                    # Armijo needs a decrease F can represent (at a kink it can't).
-                    target = F + _ARMIJO_C * step * slope
-                    if (use_armijo and trial[1] <= target < F) or (
-                        trial[3] <= 0.9 * g_norm and trial[1] <= F_cap
-                    ):
-                        break
-                    step *= 0.5
-                else:  # no step accepted: a stall near the tolerance ends the solve
-                    if g_norm <= 1e1 * _GRAD_TOL:
-                        break
-                    raise NoConvergence(
-                        f"line search stalled at zeta_pq = {zeta_pq:.6g}, "
-                        f"gradient norm {g_norm:.3e}"
-                    )
-            y, F, outflow, g_norm, zeta, mu = trial
+    # Power-law slopes are infinite at zero tension, chord slopes divide by
+    # the tension and an unbounded objective overflows; the solve checks
+    # finiteness.
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        block = system.reduced_laplacian(p, q)
+        free = block.free
+        if warm_start is None:
+            y = _harmonic_start(system, block, p, zeta_pq)
         else:
-            raise NoConvergence(
-                f"no operating point after {_MAX_ITER} iterations at "
-                f"zeta_pq = {zeta_pq:.6g}"
-            )
+            y = np.array(warm_start, dtype=float)
+            y[p - 1] = zeta_pq
+            y[q - 1] = 0.0
 
-    terminal_flow = float(outflow[p - 1])
-    zeta_bar = np.concatenate((zeta, (zeta_pq,)))
-    mu_bar = np.concatenate((mu, (-terminal_flow,)))
-    return OperatingPoint(
-        y=y,
-        zeta_bar=zeta_bar,
-        mu_bar=mu_bar,
-        terminal_flow=terminal_flow,
-        terminals=(p, q),
-        iterations=iterations,
-        _system=system,
-    )
+        n, tail, head = system.node_count, system.tail, system.head
+        flow, cocontent = system._flow, system._cocontent
+
+        def evaluate(yv: np.ndarray):
+            """(yv, objective, net outflow E mu per node, its max |.| over the
+            free nodes, where it is the objective's gradient, tension, flow)."""
+            zeta = yv[tail] - yv[head]
+            mu = flow(zeta)
+            # A solve not handed a block row evaluates at least once; the ufunc
+            # reductions are what ndarray.sum/.all/.max call, without their
+            # Python-level wrappers.
+            F = float(np.add.reduce(cocontent(zeta)))
+            outflow = np.bincount(tail, mu, n) - np.bincount(head, mu, n)
+            if not (math.isfinite(F) and np.logical_and.reduce(np.isfinite(outflow))):
+                raise NoConvergence(
+                    f"objective or gradient not finite at zeta_pq = {zeta_pq:.6g}; "
+                    "the cocontent may be unbounded below"
+                )
+            g_norm = float(np.maximum.reduce(np.abs(outflow[free]), initial=0.0))
+            return yv, F, outflow, g_norm, zeta, mu
+
+        def moved(step: float, direction: np.ndarray):
+            y_try = y.copy()
+            y_try[free] += step * direction
+            return evaluate(y_try)
+
+        def newton_direction(d: np.ndarray, g: np.ndarray) -> Optional[np.ndarray]:
+            """Descent direction of the slope model ``d`` on the free block, or
+            None.  The derivative clamp keeps the system solvable when power-law
+            slopes blow up at zero tension (it pins those tensions, their optimum).
+            """
+            if not (d >= 0.0).all():
+                return None
+            H = block.matrix(d)
+            try:
+                direction = np.linalg.solve(H, -g)
+            except np.linalg.LinAlgError:
+                try:
+                    reg = 1e-10 * (1.0 + float(d.max()))
+                    direction = np.linalg.solve(H + reg * np.eye(free.size), -g)
+                except np.linalg.LinAlgError:
+                    return None
+            return direction if float(g @ direction) < 0.0 else None
+
+        iterations = 0
+        y, F, outflow, g_norm, zeta, mu = evaluate(y) if _first is None else _first[:6]
+        if free.size:
+            for iterations in range(1, _MAX_ITER + 1):
+                if g_norm <= _GRAD_TOL:
+                    break
+                g = outflow[free]
+                # No accepted step may visibly raise the objective: near the
+                # minimum its drop falls below float resolution before g's does.
+                F_cap = F + 1e-12 * (1.0 + abs(F))
+                exact = _exact_slopes(system, zeta)
+                direction = newton_direction(exact, g)
+                trial = None if direction is None else moved(1.0, direction)
+                if trial is None or trial[3] > 0.5 * g_norm or trial[1] > F_cap:
+                    direction = newton_direction(_chord_slopes(zeta, mu, exact), g)
+                    if direction is None:
+                        direction = -g
+                    # A clamped-slope Newton system can pin coordinates that must
+                    # move (power-law edges sitting exactly at zero tension); when
+                    # the step degenerates to numerically nothing, take a gradient
+                    # step to pull those edges off the kink.
+                    if np.abs(direction).max() < 1e-13 * (1.0 + np.abs(y).max()):
+                        direction = -g
+                    slope = float(g @ direction)
+                    # Within a decade of the tolerance the float sum of the
+                    # cocontent no longer registers progress, so only gradient
+                    # decrease counts there.
+                    use_armijo = g_norm > 1e1 * _GRAD_TOL
+                    step = 1.0
+                    for _ in range(_MAX_HALVINGS):
+                        trial = moved(step, direction)
+                        # Armijo needs a decrease F can represent (at a kink it can't).
+                        target = F + _ARMIJO_C * step * slope
+                        if (use_armijo and trial[1] <= target < F) or (
+                            trial[3] <= 0.9 * g_norm and trial[1] <= F_cap
+                        ):
+                            break
+                        step *= 0.5
+                    else:  # no step accepted: a stall near the tolerance ends the solve
+                        if g_norm <= 1e1 * _GRAD_TOL:
+                            break
+                        raise NoConvergence(
+                            f"line search stalled at zeta_pq = {zeta_pq:.6g}, "
+                            f"gradient norm {g_norm:.3e}"
+                        )
+                y, F, outflow, g_norm, zeta, mu = trial
+            else:
+                raise NoConvergence(
+                    f"no operating point after {_MAX_ITER} iterations at "
+                    f"zeta_pq = {zeta_pq:.6g}"
+                )
+
+        terminal_flow = float(outflow[p - 1])
+        zeta_bar = np.concatenate((zeta, (zeta_pq,)))
+        mu_bar = np.concatenate((mu, (-terminal_flow,)))
+        return OperatingPoint(
+            y=y,
+            zeta_bar=zeta_bar,
+            mu_bar=mu_bar,
+            terminal_flow=terminal_flow,
+            terminals=(p, q),
+            iterations=iterations,
+            _system=system,
+        )
 
 
 @dataclass(frozen=True)
@@ -354,9 +369,12 @@ def equivalent_edge_function(
 
     For each of the grid's samples (odd count, at least 3, so zero is
     sampled exactly and solved without a linear system) the operating point
-    is solved and the terminal flow recorded.  Sweeps outward from zero, warm-starting each solve from the
-    secant through its two predecessors, so the table is deterministic and
-    cheap.
+    is solved and the terminal flow recorded.  Sweeps outward from zero,
+    warm-starting each solve from the secant through its two predecessors,
+    so the table is deterministic and cheap.  After ``_BLOCK_MIN`` samples
+    in a row accepted at that prediction, a block of the next ones is
+    predicted alike and evaluated in one array pass; each is still solved
+    from its row, so the table is the sequential sweep's bit for bit.
     """
     grid.validate(min_samples=3, odd=True)
     zetas = grid.points()
@@ -368,24 +386,37 @@ def equivalent_edge_function(
     def sweep(indices):
         nonlocal max_residual
         warm = previous = None
-        for i in indices:
-            zeta_pq = points[i]
-            op = solve_operating_point(system, p, q, zeta_pq, warm)
-            mus[i] = op.terminal_flow
-            # The product of the two vectors' Euclidean norms (what
-            # np.linalg.norm computes for a real vector, without its wrapper).
-            mu_bar, zeta_bar = op.mu_bar, op.zeta_bar
-            scale = math.sqrt(mu_bar.dot(mu_bar)) * math.sqrt(zeta_bar.dot(zeta_bar))
-            relative = tellegen_residual(op) / (scale if scale > 0 else 1.0)
-            max_residual = max(max_residual, relative)
-            # The all-zero solution pins power-law edges at their kink, so
-            # it makes a poor predictor; chain warm starts only off-center,
-            # extrapolating the last two off-center solutions (a secant).
-            if zeta_pq == 0.0:
-                warm = previous = None
-            else:
-                warm = op.y if previous is None else 2.0 * op.y - previous
-                previous = op.y
+        streak, size, k = 0, _BLOCK_MIN, 0
+        while k < len(indices):
+            block = indices[k : k + (size if streak >= _BLOCK_MIN else 1)]
+            rows = (None,)
+            if len(block) >= _BLOCK_MIN and warm is not None:
+                rows = _predicted_rows(system, p, q, zetas[list(block)], warm, previous)
+                size = min(2 * size, _BLOCK_MAX)  # kept while every row passes
+            for i, row in zip(block, rows):
+                k += 1
+                zeta_pq = points[i]
+                op = solve_operating_point(system, p, q, zeta_pq, warm, row)
+                mus[i] = op.terminal_flow
+                # The product of the two vectors' Euclidean norms (what
+                # np.linalg.norm computes for a real vector, without its wrapper).
+                mu_bar, zeta_bar = op.mu_bar, op.zeta_bar
+                scale = math.sqrt(mu_bar.dot(mu_bar))
+                scale *= math.sqrt(zeta_bar.dot(zeta_bar))
+                relative = tellegen_residual(op) / (scale if scale > 0 else 1.0)
+                max_residual = max(max_residual, relative)
+                # The all-zero solution pins power-law edges at their kink, so
+                # it makes a poor predictor; chain warm starts only off-center,
+                # extrapolating the last two off-center solutions (a secant).
+                if zeta_pq == 0.0:
+                    warm = previous = None
+                else:
+                    warm = op.y if previous is None else 2.0 * op.y - previous
+                    previous = op.y
+                if op.iterations > 1:  # a Newton step: later rows are stale
+                    streak, size = 0, _BLOCK_MIN
+                    break
+                streak += 1
 
     try:
         sweep(range(mid, grid.samples))
@@ -398,6 +429,47 @@ def equivalent_edge_function(
         terminals=(p, q),
         max_tellegen_residual=max_residual,
     )
+
+
+@np.errstate(divide="ignore", invalid="ignore", over="ignore")
+def _predicted_rows(
+    system: NetworkSystem, p: int, q: int, zetas: np.ndarray, warm, last
+) -> list:
+    """The solve's first evaluation of each of a run of secant predictions,
+    in one array pass: row 0 starts from ``warm`` and row r from
+    2 y_(r-1) - y_(r-2) (``last`` is row -1), pinned to (zetas[r], 0).  The
+    pins touch only their own entries, so the free ones are the sequential
+    sweep's while its samples are accepted.  A row is ``evaluate``'s tuple
+    plus zeta_bar and mu_bar, bit for bit: one bincount over B n bins keeps
+    each node's edge order.  A row that is not finite is None, so its solve
+    raises as it would have.
+    """
+    B, n, m = zetas.size, system.node_count, system.edge_count
+    Y = np.empty((B, n))
+    Y[0] = warm
+    ys = list(Y)
+    for before, prev, y in zip([last] + ys, ys, ys[1:]):
+        np.subtract(np.multiply(prev, 2.0, y), before, y)
+    Y[:, p - 1] = zetas
+    Y[:, q - 1] = 0.0
+    tail, head = system.tail, system.head
+    zeta_bar, mu_bar = np.empty((B, m + 1)), np.empty((B, m + 1))
+    zeta = np.subtract(Y[:, tail], Y[:, head], out=zeta_bar[:, :m])
+    mu = system._flow(zeta)
+    F = np.add.reduce(system._cocontent(zeta), axis=1)
+    offset, flat = np.arange(0, B * n, n)[:, None], mu.ravel()
+    outflow = (
+        np.bincount((tail + offset).ravel(), flat, B * n)
+        - np.bincount((head + offset).ravel(), flat, B * n)
+    ).reshape(B, n)
+    mu_bar[:, :m] = mu
+    zeta_bar[:, m] = zetas
+    mu_bar[:, m] = -outflow[:, p - 1]
+    finite = np.isfinite(F) & np.logical_and.reduce(np.isfinite(outflow), axis=1)
+    free = system.reduced_laplacian(p, q).free
+    g_norm = np.maximum.reduce(np.abs(outflow[:, free]), axis=1, initial=0.0)
+    rows = zip(Y, F.tolist(), outflow, g_norm.tolist(), zeta, mu, zeta_bar, mu_bar)
+    return [row if ok else None for row, ok in zip(rows, finite.tolist())]
 
 
 def effective_resistance(

@@ -9,7 +9,8 @@ by default), and ``predict`` sweeps on it; ``eqfun`` sweeps the config's
 grid.  This module alone writes stderr: ``eqfun`` prints one ``warning:``
 line per edge that may make operating points non-unique, and a failure,
 a usage error included, one ``error:`` line.  Exit codes: 0 success,
-2 validation or usage error, 3 solver failure.
+2 validation or usage error, 3 solver failure, 70 any other error (such
+as a MemoryError, or a warning that ``-W error`` turns into an exception).
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ from .sim import OutcomeKind, classify_outcome, simulate, write_trajectory_csv
 
 _EXIT_VALIDATION = 2
 _EXIT_SOLVER = 3
+_EXIT_INTERNAL = 70
 
 
 def _g17(x: float) -> str:
@@ -178,10 +180,12 @@ def main(argv=None) -> int:
         grid_arg = (GridSpec(args.grid_n, args.grid_m),) if "grid_n" in args else ()
         cfg = load_config(args.config)
         _COMMANDS[args.command][0](cfg, Path(args.out), *grid_arg)
-    except (SignetError, OSError) as exc:
+    except Exception as exc:  # KeyboardInterrupt and SystemExit propagate
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        solver = isinstance(exc, (NoConvergence, NonFiniteState))
-        return _EXIT_SOLVER if solver else _EXIT_VALIDATION
+        if isinstance(exc, (NoConvergence, NonFiniteState)):
+            return _EXIT_SOLVER
+        expected = isinstance(exc, (SignetError, OSError))
+        return _EXIT_VALIDATION if expected else _EXIT_INTERNAL
     return 0
 
 

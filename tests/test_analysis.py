@@ -1,5 +1,6 @@
 """Convergence predictors, distance bounds, and the linear eigen oracle."""
 
+import math
 import random
 import tracemalloc
 
@@ -21,6 +22,7 @@ from signet.analysis import (
     strict_extremum_violations,
 )
 from signet.circuit import edge_monotonicity, effective_resistance
+from signet.config import load_config
 from signet.edgefn import (
     DeadZone,
     GridSpec,
@@ -273,6 +275,15 @@ def test_equivalent_passivity_condition_linear_margins(series_network):
     rep_bad = equivalent_passivity_condition(series_network, Linear(-0.5), 1, 3,
                                              COARSE)
     assert not rep_bad.holds
+
+
+def test_zero_margin_min_is_positive_zero(config_dir):
+    # At the passivity boundary the margin curve holds both signed zeros;
+    # the least margin prints as 0, never as -0, whichever min meets first.
+    net = load_config(config_dir / "linear_threshold_boundary.json").build_system()
+    condition = predict(net, GridSpec()).certificates["condition"]
+    assert condition.margin_min == 0.0
+    assert math.copysign(1.0, condition.margin_min) == 1.0
 
 
 def test_distance_bounds_single_dead_zone_edge():

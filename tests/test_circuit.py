@@ -20,7 +20,9 @@ from signet.circuit import (
     total_cocontent,
 )
 from signet.config import load_config
-from signet.edgefn import DeadZone, GridSpec, Linear, PowerSign, SampledTable, Sum
+from signet.edgefn import (
+    DeadZone, GridSpec, Linear, Negated, PowerSign, SampledTable, Sum,
+)
 from signet.errors import (
     Disconnected,
     DimensionMismatch,
@@ -252,10 +254,11 @@ def test_augmented_arrays_extend_the_real_edges(series_network, zeta_pq, warm):
     assert np.array_equal(op.zeta_bar[:-1], op.zeta) and np.array_equal(op.mu_bar[:-1], op.mu)
 
 
-def _reference_sweep(net, p, q, grid):
+def _reference_sweep(net, p, q, grid, ops=None):
     """The sweep of ``equivalent_edge_function`` replayed with its original
     formulas: one solve per sample outward from zero with secant warm starts,
-    the residual scaled by ``np.linalg.norm``.  Returns (mus, worst residual)."""
+    the residual scaled by ``np.linalg.norm``.  Returns (mus, worst residual)
+    and appends each operating point to ``ops`` when given."""
     zetas = grid.points()
     mus = np.zeros(grid.samples)
     mid = grid.samples // 2
@@ -264,6 +267,8 @@ def _reference_sweep(net, p, q, grid):
         warm = previous = None
         for i in indices:
             op = solve_operating_point(net, p, q, float(zetas[i]), warm)
+            if ops is not None:
+                ops.append(op)
             mus[i] = op.terminal_flow
             scale = float(np.linalg.norm(op.mu_bar) * np.linalg.norm(op.zeta_bar))
             residual = abs(float(op.mu_bar @ op.zeta_bar))
@@ -311,7 +316,7 @@ def _sweep_cases(draw):
     )
     fns = draw(st.lists(_sweep_edges, min_size=len(edges), max_size=len(edges)))
     p, q = draw(st.lists(st.integers(1, n), min_size=2, max_size=2, unique=True))
-    grid = GridSpec(draw(st.floats(0.5, 20.0)), draw(st.sampled_from([3, 5, 9, 21])))
+    grid = GridSpec(draw(st.floats(0.5, 20.0)), draw(st.sampled_from([3, 5, 9, 21, 41])))
     return NetworkSystem(Graph(n, edges), [Identity()] * n, fns), p, q, grid
 
 
@@ -326,6 +331,122 @@ def test_sweep_matches_reference_replay(case):
     mus, worst = _reference_sweep(net, p, q, grid)
     assert table.mus.tobytes() == mus.tobytes()
     assert table.max_tellegen_residual == worst
+
+
+def _recorded_sweep(monkeypatch, net, p, q, grid):
+    """``equivalent_edge_function`` with every solve recorded as (whether
+    it was handed a row of a block pass, its operating point)."""
+    solves = []
+
+    def recorded(*args):
+        op = solve_operating_point(*args)
+        solves.append((len(args) > 5 and args[5] is not None, op))
+        return op
+
+    monkeypatch.setattr(circuit, "solve_operating_point", recorded)
+    return equivalent_edge_function(net, p, q, grid), solves
+
+
+def _assert_sweep_is_the_sequential_one(monkeypatch, net, p, q, grid):
+    """The table, every operating point and its iteration count equal the
+    sequential replay's bit for bit; returns the block flags per solve."""
+    table, solves = _recorded_sweep(monkeypatch, net, p, q, grid)
+    ops = []
+    mus, worst = _reference_sweep(net, p, q, grid, ops)
+    assert table.mus.tobytes() == mus.tobytes()
+    assert table.max_tellegen_residual == worst
+    assert len(solves) == len(ops) == grid.samples + 1
+    for (_, op), ref in zip(solves, ops):
+        assert op.iterations == ref.iterations
+        assert op.terminal_flow == ref.terminal_flow
+        for name in ("y", "zeta_bar", "mu_bar"):
+            assert getattr(op, name).tobytes() == getattr(ref, name).tobytes()
+    return [(blocked, op.iterations) for blocked, op in solves]
+
+
+def test_linear_tree_sweep_runs_in_blocks(monkeypatch):
+    # Potentials are linear in zeta, so every secant prediction is accepted
+    # and nearly every sample is evaluated in a block.
+    rng = random.Random(3)
+    edges = tuple(Edge(k - 1, rng.randint(1, k - 1), k) for k in range(2, 15))
+    net = NetworkSystem(Graph(14, edges), [Identity()] * 14,
+                        [Linear(rng.uniform(0.5, 2.0)) for _ in edges])
+    flags = _assert_sweep_is_the_sequential_one(monkeypatch, net, 1, 14, GridSpec(10.0, 401))
+    assert sum(blocked and iterations == 1 for blocked, iterations in flags) >= 360
+
+
+def test_dead_zone_sweep_restarts_its_blocks(monkeypatch):
+    # A random 30-node graph of linear-plus-dead-zone edges, like the
+    # benchmark's eq_13_random30_deadzone: edges entering or leaving a
+    # dead band need Newton steps inside blocks, which drop the rest of the
+    # block and start the next one small.
+    rng = random.Random(11)
+    pairs = set((rng.randint(1, k - 1), k) for k in range(2, 31))
+    while len(pairs) < 45:
+        a, b = sorted(rng.sample(range(1, 31), 2))
+        pairs.add((a, b))
+    edges = tuple(Edge(k + 1, a, b) for k, (a, b) in enumerate(sorted(pairs)))
+    fns = [Sum((Linear(rng.uniform(0.2, 1.0)),
+                DeadZone(rng.uniform(0.5, 2.0), rng.uniform(0.5, 2.0))))
+           for _ in edges]
+    net = NetworkSystem(Graph(30, edges), [Identity()] * 30, fns)
+    flags = _assert_sweep_is_the_sequential_one(monkeypatch, net, 1, 20, GridSpec(10.0, 401))
+    assert sum(blocked and iterations > 1 for blocked, iterations in flags) >= 10
+    assert sum(blocked and iterations == 1 for blocked, iterations in flags) >= 150
+
+
+_TABLE = SampledTable((-2.0, -1.0, 0.0, 1.0, 3.0), (-1.0, -0.8, 0.0, 2.0, 3.0))
+
+
+@pytest.mark.parametrize("kind", [
+    PowerSign(1.5, 0.7),
+    PowerSign(2.0, 0.5),
+    _TABLE,  # not odd
+    Sum((Linear(0.5), DeadZone(1.0, 0.5), PowerSign(0.3, 0.5))),
+    Negated(SampledTable((-1.0, 0.0, 2.0), (1.0, 0.0, -3.0))),
+], ids=["power_sign", "power_sign_sqrt", "sampled_table", "sum", "negated"])
+def test_block_rows_evaluate_every_edge_kind(monkeypatch, kind):
+    # Two edges of the kind, one each way, join the terminals: the block
+    # rows evaluate them at every sampled tension of either sign, while the
+    # linear rest of the network keeps every prediction acceptable.
+    pairs = [(1, 2), (2, 3), (3, 4), (2, 5), (5, 4), (4, 6), (1, 6), (6, 1)]
+    fns = [Linear(1.0), Linear(0.5), Linear(2.0), Linear(1.5), Linear(0.7), Linear(1.1),
+           kind, kind]
+    net = NetworkSystem(
+        Graph(6, tuple(Edge(k + 1, a, b) for k, (a, b) in enumerate(pairs))),
+        [Identity()] * 6, fns,
+    )
+    flags = _assert_sweep_is_the_sequential_one(monkeypatch, net, 1, 6, GridSpec(5.0, 401))
+    assert sum(blocked and iterations == 1 for blocked, iterations in flags) >= 360
+
+
+def test_block_row_that_overflows_fails_like_the_sequential_sweep(monkeypatch):
+    # The cocontent of the huge edge between the terminals overflows past
+    # |zeta| = 18.96; the first such sample is a row of a block pass, which
+    # hands it to no solve, so that solve raises what the sequential sweep
+    # raises.
+    net = NetworkSystem(
+        Graph(4, (Edge(1, 1, 2), Edge(2, 2, 3), Edge(3, 3, 4), Edge(4, 1, 4))),
+        [Identity()] * 4, [Linear(1.0), Linear(2.0), Linear(1.0), Linear(1e306)],
+    )
+    grid = GridSpec(20.0, 401)
+    rows = []
+    real = circuit._predicted_rows
+
+    def recorded(*args):
+        out = real(*args)
+        rows.extend(out)
+        return out
+
+    monkeypatch.setattr(circuit, "_predicted_rows", recorded)
+    with np.errstate(over="ignore"):  # the residual's norms overflow first
+        with pytest.raises(NoConvergence) as blocked:
+            equivalent_edge_function(net, 1, 4, grid)
+        with pytest.raises(NoConvergence) as sequential:
+            _reference_sweep(net, 1, 4, grid)
+    assert str(blocked.value) == f"equivalent edge sweep failed: {sequential.value}"
+    assert "not finite at zeta_pq = 19;" in str(blocked.value)
+    assert rows.count(None) > 0
 
 
 def test_table_csv_roundtrip_and_reuse(series_network, tmp_path):

@@ -483,6 +483,35 @@ def test_cli_usage_errors_print_one_error_line(capsys, argv):
     assert_one_error_line(capsys, "usage: ")
 
 
+@pytest.mark.parametrize("command", ["simulate", "classify", "eqfun", "predict"])
+def test_cli_unexpected_exception_prints_one_error_line(
+    monkeypatch, config_dir, tmp_path, capsys, command
+):
+    # Anything that is not a SignetError or OSError, such as running out of
+    # memory, exits 70 with one error line instead of a traceback.
+    def exhausted(*args):
+        raise MemoryError("cannot allocate 8.00 GiB")
+
+    help_text = cli._COMMANDS[command][1]
+    monkeypatch.setitem(cli._COMMANDS, command, (exhausted, help_text))
+    assert run_cli(command, "--config", config_dir / "three_node_series.json",
+                   "--out", tmp_path / "o") == 70
+    assert capsys.readouterr().err == "error: MemoryError: cannot allocate 8.00 GiB\n"
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("exc", [KeyboardInterrupt, SystemExit])
+def test_cli_lets_interrupts_and_exits_propagate(monkeypatch, config_dir, tmp_path, exc):
+    def interrupted(*args):
+        raise exc()
+
+    monkeypatch.setitem(cli._COMMANDS, "classify", (interrupted, "interrupted"))
+    with pytest.raises(exc):
+        run_cli("classify", "--config", config_dir / "three_node_series.json",
+                "--out", tmp_path / "o")
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("edge, w", [(2, -1.0), (1, -2.0)])
 def test_cli_eqfun_fails_fast_on_unbounded_objective(config_dir, tmp_path, capsys, edge, w):
     # A negative linear edge makes the cocontent unbounded below; the solve
