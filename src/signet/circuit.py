@@ -383,6 +383,10 @@ def equivalent_edge_function(
     mid = grid.samples // 2
     max_residual = 0.0
 
+    # Flows past about 1e154 overflow the Tellegen scale (a dot product) to
+    # inf, and a secant start may overflow too: they read inf without a
+    # warning, and values that stay finite keep their bits.
+    @np.errstate(over="ignore")
     def sweep(indices):
         nonlocal max_residual
         warm = previous = None

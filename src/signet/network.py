@@ -15,10 +15,14 @@ the members of a group are stacked into one object of that kind whose
 float parameters are arrays, so flow, cocontent, slope and the node drifts
 each cost one numpy call per group on arrays of shape (..., m) or (..., n).
 A single group covering every edge is called directly, without a gather
-and scatter.  Grouping reads only the type of each object unless some kind
-nests or has other than float parameters; a sampled table is keyed by
-identity and a negated one stacks as a table with negated knots, so
-neither is hashed nor checked again.  Connectivity is checked by the
+and scatter.  Linear edges join the dead-zone group when a network has
+both, bare or under a negation: a linear edge is a dead zone of band 0,
+whose flow and cocontent formulas then give the linear ones bit for bit
+(the slope takes a mask, and a cocontent at -NaN reads +NaN), so the two
+kinds cost one call.  Grouping reads only the type of each object unless
+some kind nests or has other than float parameters; a sampled table is
+keyed by identity and a negated one stacks as a table with negated knots,
+so neither is hashed nor checked again.  Connectivity is checked by the
 union-find of ``graph.connected_components``.
 
 Grid certificates (sign classes, monotonicity) evaluate every edge on one
@@ -99,16 +103,44 @@ def _stack(objs: Sequence, column: bool = False) -> object:
         return ef.Sum(
             tuple(_stack(ts, column) for ts in zip(*(o.terms for o in objs)))
         )
-    names = _float_fields(type(first))
+    kind = type(first)
+    if len(set(map(type, objs))) > 1:  # linear edges in a dead-zone group
+        kind = _LinearOrDeadZone
+    names = _float_fields(kind)
     if not names:
         return first
     # Every object was validated when it was built; the stack skips
     # __post_init__, whose scalar checks do not apply to arrays.
-    stacked = object.__new__(type(first))
+    stacked = object.__new__(kind)
     for name in names:
-        values = np.fromiter(map(attrgetter(name), objs), float, len(objs))
+        if kind is _LinearOrDeadZone:
+            values = np.fromiter((getattr(o, name, 0.0) for o in objs), float, len(objs))
+        else:
+            values = np.fromiter(map(attrgetter(name), objs), float, len(objs))
         object.__setattr__(stacked, name, values[:, None] if column else values)
+    if kind is _LinearOrDeadZone:
+        object.__setattr__(stacked, "_linear", stacked.band == 0.0)
     return stacked
+
+
+class _LinearOrDeadZone(ef.DeadZone):
+    """Linear and dead-zone edges stacked as one dead zone whose band is 0
+    at the linear members.  There the dead-zone flow and cocontent give the
+    linear ones bit for bit, since |zeta| - 0 and max(|zeta|, 0) are exact,
+    copysign(|zeta|, zeta) is zeta and |zeta| * |zeta| is zeta * zeta (only
+    a NaN's sign is lost); the slope needs the mask ``_linear`` to be w at
+    zeta = 0 (and at NaN)."""
+
+    def derivative(self, zeta: ef.FloatOrArray) -> ef.FloatOrArray:
+        return self.w * ((np.abs(zeta) > self.band) | self._linear)
+
+
+# Keys of a kind that joins another's group when both are present: a linear
+# edge is a dead zone with band 0, so the two kinds cost one call.
+_JOINS = (
+    (ef.Linear, ef.DeadZone),
+    ((ef.Negated, ef.Linear), (ef.Negated, ef.DeadZone)),
+)
 
 
 def _group_by_kind(objs: Sequence) -> list[tuple[Union[slice, np.ndarray], object]]:
@@ -119,6 +151,10 @@ def _group_by_kind(objs: Sequence) -> list[tuple[Union[slice, np.ndarray], objec
     keys = list(map(type, objs))
     if any(_float_fields(kind) is None for kind in set(keys)):
         keys = list(map(_kind_key, objs))
+    present = set(keys)
+    joins = {a: b for a, b in _JOINS if a in present and b in present}
+    if joins:
+        keys = [joins.get(key, key) for key in keys]
     positions: dict[Hashable, list[int]] = {}
     for i, key in enumerate(keys):
         positions.setdefault(key, []).append(i)

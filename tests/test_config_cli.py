@@ -298,6 +298,27 @@ def test_cli_failure_before_any_artifact_leaves_no_out_directory(
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("as_errors", [False, True], ids=["default", "W_error"])
+def test_cli_eqfun_with_huge_flows_fails_in_one_line(tmp_path, capsys, as_errors):
+    # Flows near 1e200 overflow each sample's Tellegen scale; that must not
+    # warn (or, under -W error, end as an internal error) before the sweep
+    # fails on its own.
+    edge = {"kind": "linear", "w": 1e200}
+    cfg = tmp_path / "chain.json"
+    cfg.write_text(json.dumps({
+        "nodes": {"count": 3},
+        "edges": [{"id": 1, "tail": 1, "head": 2, "fn": edge},
+                  {"id": 2, "tail": 2, "head": 3, "fn": edge}],
+        "eqfun": {"p": 1, "q": 3, "n": 10.0, "samples": 11},
+    }))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("error" if as_errors else "always")
+        assert run_cli("eqfun", "--config", cfg, "--out", tmp_path / "o") == 3
+    assert caught == []
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: NoConvergence: ")
+
+
 def test_cli_rejects_a_config_that_is_not_utf8(tmp_path, capsys):
     cfg = tmp_path / "bad.json"
     cfg.write_bytes(b'\xff\xfe{"nodes": 1}')

@@ -1,5 +1,7 @@
 """Closed-loop assembly: tension / flow / input composition and invariants."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,15 +9,19 @@ from hypothesis import strategies as st
 
 from signet.edgefn import (
     DeadZone,
+    GridSpec,
     Linear,
     Negated,
     PowerSign,
     SampledTable,
     Sinusoid,
     Sum,
+    classify_sign,
     flip_conjugate,
+    is_monotone_increasing,
 )
-from signet.analysis import network_linear_weights
+from signet.analysis import classify_edges, network_linear_weights
+from signet.circuit import edge_monotonicity
 from signet.errors import DimensionMismatch, NonLinearEdges, ValidationError
 from signet.graph import Edge, Graph, incidence
 from signet.network import NetworkSystem
@@ -306,3 +312,67 @@ def test_edge_index_arithmetic_matches_dense_incidence(g, data):
     np.testing.assert_allclose(
         block.matrix(d), (E_free * d) @ E_free.T, rtol=1e-12, atol=1e-12 * d.sum()
     )
+
+
+_signed_weights = st.floats(-5.0, 5.0) | st.sampled_from([0.0, -0.0])
+_linear_or_dead_zone = st.one_of(
+    st.builds(Linear, _signed_weights),
+    st.builds(DeadZone, _signed_weights, st.floats(0.1, 3.0)),
+)
+# Tensions where a linear edge in a dead-zone group could part from its own
+# formula: signed zeros, infinities, NaNs of both signs, a dead zone's band
+# edges and one ulp either side of them.
+_SPECIAL = (0.0, -0.0, math.inf, -math.inf, math.nan, -math.nan)
+
+
+@st.composite
+def linear_dead_zone_networks(draw):
+    """Networks mixing linear and dead-zone edges, bare and negated (both
+    kinds of each, so both pairs of groups join), with a power-law edge
+    as another group."""
+    fns = [Linear(draw(_signed_weights)), DeadZone(draw(_signed_weights), draw(st.floats(0.1, 3.0))),
+           Negated(Linear(draw(_signed_weights))), Negated(DeadZone(1.0, draw(st.floats(0.1, 3.0))))]
+    fns += draw(st.lists(_linear_or_dead_zone | _linear_or_dead_zone.map(Negated), max_size=10))
+    fns += draw(st.lists(st.just(PowerSign(1.0, 0.5)), max_size=1))
+    fns = draw(st.permutations(fns))
+    n = draw(st.integers(2, min(6, len(fns) + 1)))
+    pairs = [(draw(st.integers(1, v - 1)), v) for v in range(2, n + 1)]
+    while len(pairs) < len(fns):
+        pairs.append(tuple(draw(st.lists(st.integers(1, n), min_size=2, max_size=2, unique=True))))
+    edges = tuple(Edge(k + 1, a, b) for k, (a, b) in enumerate(pairs))
+    return NetworkSystem(Graph(n, edges), [Identity()] * n, fns)
+
+
+def _tension_for(fn, draw):
+    inner = fn.inner if isinstance(fn, Negated) else fn
+    band = getattr(inner, "band", draw(st.floats(0.1, 3.0)))
+    edges = [band, math.nextafter(band, 0.0), math.nextafter(band, math.inf)]
+    return draw(st.sampled_from(_SPECIAL + tuple(edges) + tuple(-e for e in edges))
+                | st.floats(-10.0, 10.0))
+
+
+@given(net=linear_dead_zone_networks(), data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_joined_linear_dead_zone_group_evaluates_exactly(net, data):
+    fns = net.edge_functions
+    # Every linear edge sits in a dead-zone group, bare or negated alike.
+    kinds = {type(f.inner) if isinstance(f, Negated) else type(f) for f in fns}
+    assert len(net._edge_groups) == 2 + (PowerSign in kinds)
+    zeta = np.array([[_tension_for(f, data.draw) for f in fns] for _ in range(3)])
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+        for name, method in (("flow", "__call__"), ("cocontent", "cocontent"),
+                             ("slope", "derivative")):
+            grouped = getattr(net, name)(zeta)
+            alone = np.column_stack(
+                [getattr(f, method)(zeta[:, k]) for k, f in enumerate(fns)])
+            if name == "cocontent":
+                # The dead-zone formula squares |zeta|, so in the group a
+                # linear edge's cocontent at -NaN is +NaN (alone, -NaN).
+                nan = np.isnan(alone)
+                assert np.array_equal(np.isnan(grouped), nan)
+                grouped, alone = grouped[~nan], alone[~nan]
+            assert grouped.view(np.uint64).tolist() == alone.view(np.uint64).tolist()
+    # The grid certificates are those of each edge alone.
+    grid = GridSpec(5.0, 101)
+    assert classify_edges(net, grid) == tuple(classify_sign(f, grid) for f in fns)
+    assert edge_monotonicity(net, grid) == tuple(is_monotone_increasing(f, grid) for f in fns)

@@ -5,12 +5,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from signet import sim
 from signet.analysis import equilibria_membership
-from signet.edgefn import Linear
+from signet.edgefn import Linear, Negated
 from signet.errors import NonFiniteState, ValidationError
 from signet.graph import Edge, Graph
-from signet.network import NetworkSystem
+from signet.network import _CHUNK_CELLS, NetworkSystem
 from signet.nodes import Identity
 from signet.sim import (
     OutcomeKind,
@@ -24,6 +27,7 @@ from signet.sim import (
 )
 
 from conftest import SIX_X0
+from test_network import EDGE_KINDS, NODE_KINDS
 
 
 def linear_pair(w=1.0):
@@ -283,3 +287,241 @@ def test_trajectory_csv_matches_formatting_each_float():
     got = io.StringIO()
     write_trajectory_csv(tr, got)
     assert got.getvalue() == want.getvalue()
+
+
+# --- the block stepper against the per-step loop -------------------------------
+
+
+def per_step_simulate(system, x0, cfg):
+    """The stepper as one loop that checks every step as soon as it is
+    taken: the oracle that ``simulate`` must match bit for bit."""
+    x = np.array(x0, dtype=float)
+    dt = cfg.dt
+    n, tail, head = system.node_count, system.tail, system.head
+    flow, gamma = system._flow, system._gamma
+
+    def rhs(state):
+        mu = flow(state[tail] - state[head])
+        u = np.bincount(head, mu, n) - np.bincount(tail, mu, n)
+        return u, gamma(u)
+
+    times = [0.0]
+    states = [x.copy()]
+    blowup = False
+    steady = False
+    steady_since = None
+    t = 0.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for step in range(1, cfg.steps + 1):
+            u, k1 = rhs(x)
+            u_norm = float(np.abs(u).max())
+            if not math.isfinite(u_norm):
+                raise NonFiniteState(f"non-finite input at t = {t:.6g}")
+            if u_norm < cfg.u_tol:
+                if steady_since is None:
+                    steady_since = t
+            else:
+                steady_since = None
+
+            half = 0.5 * dt
+            _, k2 = rhs(x + half * k1)
+            _, k3 = rhs(x + half * k2)
+            _, k4 = rhs(x + dt * k3)
+            x = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            t = step * dt
+
+            biggest = float(np.abs(x).max())
+            if not math.isfinite(biggest):
+                raise NonFiniteState(f"non-finite state at t = {t:.6g}")
+            record = step % cfg.record_every == 0
+            if biggest > cfg.blowup_threshold:
+                blowup = True
+                record = True
+            elif steady_since is not None and t - steady_since >= cfg.window:
+                steady = True
+                record = True
+            if record:
+                times.append(t)
+                states.append(x.copy())
+            if blowup or steady:
+                break
+        else:
+            if times[-1] != t:
+                times.append(t)
+                states.append(x.copy())
+
+    final_u = system.node_input(states[-1])
+    return Trajectory(
+        times=np.array(times),
+        states=np.vstack(states),
+        final_u_norm=float(np.max(np.abs(final_u))),
+        blowup=blowup,
+        steady=steady,
+    )
+
+
+def block_steps(n):
+    """Steps per block of ``simulate`` on n nodes."""
+    return max(1, min(sim._BLOCK_STEPS, _CHUNK_CELLS // n))
+
+
+def assert_same_run(got, want):
+    """Equal bit for bit, the sign of zeros and the order of rows included."""
+    assert got.times.shape == want.times.shape
+    assert got.times.tobytes() == want.times.tobytes()
+    assert got.states.shape == want.states.shape
+    assert got.states.tobytes() == want.states.tobytes()
+    assert np.float64(got.final_u_norm).tobytes() == np.float64(want.final_u_norm).tobytes()
+    assert (got.steady, got.blowup) == (want.steady, want.blowup)
+
+
+# 0-based steps at which a run is made to stop: the first step of the first
+# block, its last step, and the first two steps of the second block.
+STOP_OFFSETS = ("first", "last", "next", "next_but_one")
+
+
+def stop_step(offset, k):
+    """The 1-based step of a stop placed at one of STOP_OFFSETS, for blocks
+    of k steps."""
+    return {"first": 1, "last": k, "next": k + 1, "next_but_one": k + 2}[offset]
+
+
+@st.composite
+def block_runs(draw):
+    """A network carrying every edge kind on nodes of one kind or of mixed
+    kinds, a start, and a SimConfig whose run stops at a chosen block
+    offset (or wherever drawn thresholds make it stop)."""
+    n = draw(st.integers(2, 8))
+    pairs = [(draw(st.integers(1, v - 1)), v) for v in range(2, n + 1)]
+    while len(pairs) < len(EDGE_KINDS):
+        a, b = draw(st.lists(st.integers(1, n), min_size=2, max_size=2, unique=True))
+        pairs.append((a, b))
+    fns = draw(st.permutations([draw(kind) for kind in EDGE_KINDS]))
+    # Nodes n + 1 and n + 2, joined by a negated linear edge, grow apart
+    # from a start of (a, -a); a zero-weight edge ties them to the rest.
+    w = draw(st.floats(0.5, 5.0))
+    fns += [Negated(Linear(w)), Linear(0.0)]
+    pairs += [(n + 1, n + 2), (1, n + 1)]
+    dynamics = draw(st.sampled_from(["identity", "one", "mixed"]))
+    if dynamics == "identity":
+        nodes = [Identity()] * (n + 2)
+    elif dynamics == "one":
+        nodes = [draw(NODE_KINDS)] * (n + 2)
+    else:
+        nodes = draw(st.lists(NODE_KINDS, min_size=n + 2, max_size=n + 2))
+    edges = tuple(Edge(i + 1, a, b) for i, (a, b) in enumerate(pairs))
+    net = NetworkSystem(Graph(n + 2, edges), nodes, fns)
+
+    # A steady stop, or a reset of the steadiness window, comes after a
+    # first step that starts the window (which must exceed dt).
+    stop = draw(st.sampled_from(["horizon", "steady", "blowup", "reset", "free"]))
+    k = block_steps(net.node_count)
+    offsets = STOP_OFFSETS[1:] if stop in ("steady", "reset") else STOP_OFFSETS
+    s = stop_step(draw(st.sampled_from(offsets)), k)
+    dt = draw(st.sampled_from([1e-3, 1e-2]))
+    a = 1e3 if stop in ("blowup", "reset") else draw(st.floats(-10.0, 10.0))
+    rest = draw(st.lists(st.floats(-10.0, 10.0), min_size=n, max_size=n))
+    x0 = np.array(rest + [a, -a])
+    every = draw(st.sampled_from([1, 2, 3, 7, k - 1, k, k + 1, 1000]))
+    quiet = dict(u_tol=1e-300, window=1e3, blowup_threshold=1e300)
+    if stop == "horizon":
+        cfg = SimConfig(t_end=s * dt, dt=dt, record_every=every, **quiet)
+    elif stop == "steady":
+        cfg = SimConfig(t_end=(s + k) * dt, dt=dt, record_every=every,
+                        u_tol=1e300, window=s * dt, blowup_threshold=1e300)
+    else:
+        # Per-step input norms and state maxima of an unchecked run.
+        probe = per_step_simulate(
+            net, x0, SimConfig(t_end=(2 * k + 3) * dt, dt=dt, record_every=1, **quiet))
+        biggest = np.abs(probe.states[1:]).max(axis=1)
+        u_norm = [np.abs(net.node_input(x)).max() for x in probe.states[:-1]]
+        if stop == "blowup":
+            below = biggest[: s - 1].max() if s > 1 else 0.5 * biggest[0]
+            assume(biggest[s - 1] > below)  # the first crossing is step s
+            cfg = SimConfig(t_end=(s + k) * dt, dt=dt, record_every=every,
+                            u_tol=1e-300, window=1e3, blowup_threshold=below)
+        elif stop == "reset":
+            # Steady from step 1 until the input of step s reaches u_tol,
+            # just before the window would end.
+            assume(u_norm[s - 1] > max(u_norm[: s - 1]))
+            cfg = SimConfig(t_end=(s + k) * dt, dt=dt, record_every=every,
+                            u_tol=u_norm[s - 1], window=(s - 0.5) * dt,
+                            blowup_threshold=1e300)
+        else:
+            u_tol = draw(st.sampled_from(u_norm)) * draw(st.sampled_from([0.5, 1.0, 2.0]))
+            cfg = SimConfig(
+                t_end=(2 * k + 3) * dt, dt=dt, record_every=every,
+                u_tol=max(u_tol, 1e-300),
+                window=dt * draw(st.sampled_from([1.5, 2.0, k - 0.5, k + 0.5])),
+                blowup_threshold=max(draw(st.sampled_from(biggest.tolist())), 1e-300),
+            )
+    return net, x0, cfg, stop, s
+
+
+@given(run=block_runs())
+@settings(max_examples=120, deadline=None)
+def test_block_stepper_matches_per_step_oracle(run):
+    net, x0, cfg, stop, s = run
+    want = per_step_simulate(net, x0, cfg)
+    assert_same_run(simulate(net, x0, cfg), want)
+    if stop == "reset":  # no stop at step s
+        assert not want.steady or want.times[-1] > s * cfg.dt
+    elif stop != "free":  # the stop is where the run was made to stop
+        assert want.times[-1] == s * cfg.dt
+        assert (want.steady, want.blowup) == (stop == "steady", stop == "blowup")
+
+
+def _raising_step(net, x0, cfg):
+    """The message of the oracle's NonFiniteState and the step whose check
+    raised it, or (None, None) when the run stays finite."""
+    try:
+        per_step_simulate(net, x0, cfg)
+    except NonFiniteState as exc:
+        message = str(exc)
+        t = float(message.rsplit(" ", 1)[1])
+        return message, round(t / cfg.dt) + message.startswith("non-finite input")
+    return None, None
+
+
+@pytest.mark.parametrize("n", [2, 300])
+@pytest.mark.parametrize("which", ["input", "state"])
+@pytest.mark.parametrize("offset", STOP_OFFSETS)
+def test_block_stepper_raises_non_finite_as_the_oracle(n, which, offset):
+    # A negated linear ring (a pair when n = 2) started on its fastest
+    # mode, at a rate times dt of 20: each step multiplies it by about 8200,
+    # and no stage of a step reaches a third of that, so the start's power
+    # of two can put the first non-finite value at any step.  The input is w
+    # times the mode's tension: a huge w makes it overflow before the state.
+    w = 2.0**100 if which == "input" else 1.0
+    pairs = [(1, 2)] if n == 2 else [(v, v % n + 1) for v in range(1, n + 1)]
+    net = NetworkSystem(
+        Graph(n, tuple(Edge(i + 1, a, b) for i, (a, b) in enumerate(pairs))),
+        [Identity()] * n, [Negated(Linear(w))] * len(pairs),
+    )
+    k = block_steps(n)
+    assert (k < sim._BLOCK_STEPS) == (n == 300)
+    target = stop_step(offset, k)
+    dt = 20.0 / ((2.0 if n == 2 else 4.0) * w)
+    cfg = SimConfig(t_end=1e3 * dt, dt=dt, record_every=5, u_tol=1e-300,
+                    window=2.0 * dt, blowup_threshold=math.inf)
+    mode = np.array([(-1.0) ** v for v in range(n)])
+
+    def raising(power):
+        return _raising_step(net, 2.0**power * mode, cfg)
+
+    # A larger start overflows no later: bisect for the smallest power that
+    # overflows by the target step, then try the powers above it.
+    low, high = -1000, 1023
+    while low < high:
+        mid = (low + high) // 2
+        low, high = (mid + 1, high) if raising(mid)[1] > target else (low, mid)
+    for power in range(low, 1024):
+        message, step = raising(power)
+        if step != target:
+            pytest.fail(f"no start overflows the {which} at step {target}")
+        if message.startswith(f"non-finite {which} at t = "):
+            break
+    x0 = 2.0**power * mode
+    with pytest.raises(NonFiniteState) as raised:
+        simulate(net, x0, cfg)
+    assert str(raised.value) == message
