@@ -16,6 +16,7 @@ as a MemoryError, or a warning that ``-W error`` turns into an exception).
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 from typing import TextIO
@@ -155,7 +156,9 @@ class _Parser(argparse.ArgumentParser):
         self.exit(_EXIT_VALIDATION, f"error: usage: {message}\n")
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> _Parser:
+    """The command-line parser, built on first use and kept for the process."""
     parser = _Parser(
         prog="signet",
         description="Simulate and analyze diffusively coupled nonlinear networks.",
@@ -174,7 +177,11 @@ def main(argv=None) -> int:
                 "--grid-m", type=int, default=GridSpec.samples,
                 help=f"number of grid samples (default {GridSpec.samples})",
             )
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
 
     try:
         grid_arg = (GridSpec(args.grid_n, args.grid_m),) if "grid_n" in args else ()

@@ -154,13 +154,11 @@ def laplacian(g: Graph, weights) -> np.ndarray:
 
 
 def _adjacency(g: Graph):
-    """Node -> sorted list of (neighbor, edge)."""
+    """Node -> list of (neighbor, edge) in edge id order, as ``g.edges`` is."""
     adj: dict[int, list[tuple[int, Edge]]] = {v: [] for v in range(1, g.node_count + 1)}
     for e in g.edges:
         adj[e.tail].append((e.head, e))
         adj[e.head].append((e.tail, e))
-    for v in adj:
-        adj[v].sort(key=lambda item: (item[1].id, item[0]))
     return adj
 
 

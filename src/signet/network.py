@@ -8,7 +8,11 @@ field is independent of the chosen edge orientations.
 E has exactly two nonzeros per column, so it is never formed: the system
 keeps the 0-based tail and head of every edge, the tension is the gather
 y[tail] - y[head] and the node input is a scatter-add of the flows, both
-O(node_count + edge_count).
+O(node_count + edge_count).  The closed loop's right-hand side is built
+from these once, unchecked: the node input u of a state, and the field
+gamma(u), which is u itself when every node is an integrator (identity
+nodes skip the drift).  ``node_input``, ``vector_field`` and
+``sim.simulate`` all call it.
 
 Edge functions and node dynamics are grouped by kind once, at construction:
 the members of a group are stacked into one object of that kind whose
@@ -21,9 +25,9 @@ whose flow and cocontent formulas then give the linear ones bit for bit
 (the slope takes a mask, and a cocontent at -NaN reads +NaN), so the two
 kinds cost one call.  Grouping reads only the type of each object unless
 some kind nests or has other than float parameters; a sampled table is
-keyed by identity and a negated one stacks as a table with negated knots,
-so neither is hashed nor checked again.  Connectivity is checked by the
-union-find of ``graph.connected_components``.
+keyed by the bytes of its knots, so equal tables share one group, and a
+negated one stacks as a table with negated knots, checked no more.
+Connectivity is checked by the union-find of ``graph.connected_components``.
 
 Grid certificates (sign classes, monotonicity) evaluate every edge on one
 shared row of tensions.  ``NetworkSystem.edge_chunks`` serves the groups
@@ -45,7 +49,7 @@ import numpy as np
 from . import edgefn as ef
 from .errors import DimensionMismatch, ValidationError
 from .graph import Graph, is_connected
-from .nodes import NodeDynamics
+from .nodes import Identity, NodeDynamics
 
 # Edges times tensions evaluated at once by the chunks of
 # NetworkSystem.edge_chunks, whatever the network: about 128 KiB per float
@@ -71,10 +75,10 @@ def _float_fields(kind: type) -> Optional[tuple[str, ...]]:
 def _kind_key(obj) -> Hashable:
     """Objects with equal keys stack into one group.
 
-    The key is the kind, nested through Negated and Sum.  An object of a
-    kind with other than float parameters (a sampled table) groups only with
-    itself: it is keyed by identity, since hashing a table by value reads
-    every knot.
+    The key is the kind, nested through Negated and Sum.  A sampled table
+    groups with the tables of the same knots, signed zeros included; an
+    object of another kind with other than float parameters, only with
+    itself.
     """
     kind = type(obj)
     if kind is ef.Negated:
@@ -83,6 +87,8 @@ def _kind_key(obj) -> Hashable:
         return (kind,) + tuple(_kind_key(t) for t in obj.terms)
     if _float_fields(kind) is not None:
         return kind
+    if kind is ef.SampledTable:
+        return (kind, obj._knots[0].tobytes(), obj._knots[1].tobytes())
     return id(obj)
 
 
@@ -187,6 +193,15 @@ def _apply_by_kind(groups, method: str) -> Callable[[np.ndarray], np.ndarray]:
     return apply
 
 
+def _checked(a, name: str, size: int, batched: bool = False) -> np.ndarray:
+    """a as a float array of shape (size,), or (..., size) when batched."""
+    a = np.asarray(a, dtype=float)
+    if (a.shape[-1:] if batched else a.shape) != (size,):
+        expected = f"(..., {size})" if batched else f"({size},)"
+        raise DimensionMismatch(f"{name} has shape {a.shape}, expected {expected}")
+    return a
+
+
 class ReducedLaplacian:
     """Scatter plan for the weighted Laplacian E diag(d) E^T with the rows
     and columns of the two terminal nodes p and q removed.
@@ -264,7 +279,19 @@ class NetworkSystem:
         self._cocontent = _apply_by_kind(edges, "cocontent")
         self._slope = _apply_by_kind(edges, "derivative")
         self._gamma = _apply_by_kind(_group_by_kind(self.node_dynamics), "gamma")
-        at_zero = np.abs(self._flow(np.zeros(graph.edge_count)))
+        n, tail, head = graph.node_count, self.tail, self.head
+        flow, gamma = self._flow, self._gamma
+
+        # The closed loop's right-hand side on an unchecked state of shape
+        # (n,): u = -E Psi(E^T y), and gamma(u), which is u at integrators.
+        def node_input(y: np.ndarray) -> np.ndarray:
+            mu = flow(y[tail] - y[head])
+            return np.bincount(head, mu, n) - np.bincount(tail, mu, n)
+
+        self._node_input = self._field = node_input
+        if any(type(d) is not Identity for d in self.node_dynamics):
+            self._field = lambda y: gamma(node_input(y))
+        at_zero = np.abs(flow(np.zeros(m)))
         for i in np.flatnonzero(at_zero > 1e-12)[:1]:
             raise ValidationError(f"edge function {i + 1} must vanish at 0")
 
@@ -278,33 +305,20 @@ class NetworkSystem:
 
     def tension(self, y: np.ndarray) -> np.ndarray:
         """zeta = E^T y = y[tail] - y[head]: relative outputs along edges."""
-        y = np.asarray(y, dtype=float)
-        if y.shape != (self.node_count,):
-            raise DimensionMismatch(
-                f"potential vector has shape {y.shape}, expected ({self.node_count},)"
-            )
+        y = _checked(y, "potential vector", self.node_count)
         return y[self.tail] - y[self.head]
-
-    def _edge_array(self, zeta) -> np.ndarray:
-        zeta = np.asarray(zeta, dtype=float)
-        if zeta.shape[-1:] != (self.edge_count,):
-            raise DimensionMismatch(
-                f"tension array has shape {zeta.shape}, "
-                f"expected (..., {self.edge_count})"
-            )
-        return zeta
 
     def flow(self, zeta: np.ndarray) -> np.ndarray:
         """mu_k = psi_k(zeta_k) along the last axis of a (..., m) array."""
-        return self._flow(self._edge_array(zeta))
+        return self._flow(_checked(zeta, "tension array", self.edge_count, True))
 
     def cocontent(self, zeta: np.ndarray) -> np.ndarray:
         """Per-edge cocontent, the integral of psi_k from 0 to zeta_k."""
-        return self._cocontent(self._edge_array(zeta))
+        return self._cocontent(_checked(zeta, "tension array", self.edge_count, True))
 
     def slope(self, zeta: np.ndarray) -> np.ndarray:
         """Per-edge derivative psi_k'(zeta_k); infinite at power-law kinks."""
-        return self._slope(self._edge_array(zeta))
+        return self._slope(_checked(zeta, "tension array", self.edge_count, True))
 
     def edge_chunks(
         self, samples: int
@@ -332,22 +346,18 @@ class NetworkSystem:
 
     def input(self, mu: np.ndarray) -> np.ndarray:
         """u = -E mu: net flow into each node (in at heads, out at tails)."""
-        mu = np.asarray(mu, dtype=float)
-        if mu.shape != (self.edge_count,):
-            raise DimensionMismatch(
-                f"flow vector has shape {mu.shape}, expected ({self.edge_count},)"
-            )
+        mu = _checked(mu, "flow vector", self.edge_count)
         return np.bincount(self.head, mu, self.node_count) - np.bincount(
             self.tail, mu, self.node_count
         )
 
     def node_input(self, x: np.ndarray) -> np.ndarray:
         """u as a function of the state, u = -E Psi(E^T x)."""
-        return self.input(self.flow(self.tension(x)))
+        return self._node_input(_checked(x, "potential vector", self.node_count))
 
     def vector_field(self, x: np.ndarray) -> np.ndarray:
         """x'_i = gamma_i(u_i) with y = x."""
-        return self._gamma(self.node_input(x))
+        return self._field(_checked(x, "potential vector", self.node_count))
 
     def reduced_laplacian(self, p: int, q: int) -> ReducedLaplacian:
         """Scatter plan of the Laplacian without terminals p and q (1-based).

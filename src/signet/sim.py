@@ -15,7 +15,8 @@ per buffer gives every step's norms, and the per-step checks (finiteness,
 steadiness, blowup, recording) run on them in step order.  The steps of a
 block after a stop are discarded, so at most a block less one step is
 computed in vain, and the run, its recorded rows and its errors are those
-of a loop that checks after every step.  Identity nodes skip the drift.
+of a loop that checks after every step.  The stages call the right-hand
+side that ``NetworkSystem`` builds; the first keeps its node input.
 """
 
 from __future__ import annotations
@@ -27,9 +28,8 @@ from typing import Optional, TextIO
 
 import numpy as np
 
-from .errors import DimensionMismatch, NonFiniteState, ValidationError
-from .network import _CHUNK_CELLS, NetworkSystem
-from .nodes import Identity
+from .errors import NonFiniteState, ValidationError
+from .network import _CHUNK_CELLS, NetworkSystem, _checked
 
 # Limits far above the largest shipped run (300 000 steps), so that a huge
 # t_end / dt fails validation instead of running for hours or filling memory.
@@ -126,12 +126,10 @@ def simulate(system: NetworkSystem, x0, cfg: SimConfig) -> Trajectory:
     NonFiniteState if the state leaves the representable range without first
     crossing the blowup threshold.
     """
-    x = np.array(x0, dtype=float)
     n = system.node_count
-    if x.shape != (n,):
-        raise DimensionMismatch(f"initial state has shape {x.shape}, expected ({n},)")
-    tail, head, flow = system.tail, system.head, system._flow
-    gamma = None if all(type(d) is Identity for d in system.node_dynamics) else system._gamma
+    x = _checked(x0, "initial state", n)
+    node_input, field, gamma = system._node_input, system._field, system._gamma
+    integrators = field is node_input
     dt, steps, every = cfg.dt, cfg.steps, cfg.record_every
     u_tol, window, threshold = cfg.u_tol, cfg.window, cfg.blowup_threshold
     # numpy multiplies by a 0-d array faster than by a Python float, and
@@ -151,25 +149,11 @@ def simulate(system: NetworkSystem, x0, cfg: SimConfig) -> Trajectory:
         while step < steps and not (blowup or steady):
             count = min(block, steps - step)
             for j in range(count):
-                mu = flow(x[tail] - x[head])
-                k1 = inputs[j] = np.bincount(head, mu, n) - np.bincount(tail, mu, n)
-                if gamma is not None:
-                    k1 = gamma(k1)
-                y = x + half * k1
-                mu = flow(y[tail] - y[head])
-                k2 = np.bincount(head, mu, n) - np.bincount(tail, mu, n)
-                if gamma is not None:
-                    k2 = gamma(k2)
-                y = x + half * k2
-                mu = flow(y[tail] - y[head])
-                k3 = np.bincount(head, mu, n) - np.bincount(tail, mu, n)
-                if gamma is not None:
-                    k3 = gamma(k3)
-                y = x + whole * k3
-                mu = flow(y[tail] - y[head])
-                k4 = np.bincount(head, mu, n) - np.bincount(tail, mu, n)
-                if gamma is not None:
-                    k4 = gamma(k4)
+                u = inputs[j] = node_input(x)
+                k1 = u if integrators else gamma(u)
+                k2 = field(x + half * k1)
+                k3 = field(x + half * k2)
+                k4 = field(x + whole * k3)
                 x = block_states[j] = x + sixth * (k1 + two * k2 + two * k3 + k4)
 
             # The checks of each step in order, on its input and new state;
@@ -206,11 +190,10 @@ def simulate(system: NetworkSystem, x0, cfg: SimConfig) -> Trajectory:
             states.append(x.copy())
 
     recorded = np.vstack(states)
-    final_u = system.node_input(recorded[-1])
     return Trajectory(
         times=np.array(times),
         states=recorded,
-        final_u_norm=float(np.max(np.abs(final_u))),
+        final_u_norm=float(np.max(np.abs(node_input(recorded[-1])))),
         blowup=blowup,
         steady=steady,
     )

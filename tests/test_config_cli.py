@@ -504,6 +504,23 @@ def test_cli_usage_errors_print_one_error_line(capsys, argv):
     assert_one_error_line(capsys, "usage: ")
 
 
+def test_cli_parser_is_built_once_and_reused_after_a_usage_error(
+    config_dir, tmp_path, capsys
+):
+    cfg = config_dir / "three_node_series.json"
+    assert cli._parser() is cli._parser()
+    assert run_cli("simulate", "--config", cfg, "--out", tmp_path / "a") == 0
+    assert capsys.readouterr().err == ""
+    with pytest.raises(SystemExit) as exc:
+        run_cli("simulate", "--config", cfg, "--out", tmp_path / "b", "--grid-m", 5)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: usage: ")
+    assert run_cli("predict", "--config", cfg, "--out", tmp_path / "c") == 0
+    assert capsys.readouterr().err == ""
+    assert (tmp_path / "c" / "prediction.txt").exists() and not (tmp_path / "b").exists()
+
+
 @pytest.mark.parametrize("command", ["simulate", "classify", "eqfun", "predict"])
 def test_cli_unexpected_exception_prints_one_error_line(
     monkeypatch, config_dir, tmp_path, capsys, command

@@ -15,6 +15,7 @@ from signet.errors import CapExceeded, ValidationError
 from signet.graph import (
     Edge,
     Graph,
+    _adjacency,
     all_simple_paths,
     connected_components,
     cycle_indicator,
@@ -249,6 +250,9 @@ def multigraphs(draw):
 @settings(max_examples=300, deadline=None)
 def test_polynomial_queries_match_enumeration(case):
     g, fns = case
+    # Built in Graph's edge id order, the adjacency lists need no sort.
+    for items in _adjacency(g).values():
+        assert items == sorted(items, key=lambda item: (item[1].id, item[0]))
     labels = edge_blocks(g)
     cycles = {e.id: cycles_through_edge(g, e.id) for e in g.edges}
     for a, b in itertools.combinations(range(1, g.edge_count + 1), 2):

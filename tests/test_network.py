@@ -1,5 +1,6 @@
 """Closed-loop assembly: tension / flow / input composition and invariants."""
 
+import json
 import math
 
 import numpy as np
@@ -22,6 +23,7 @@ from signet.edgefn import (
 )
 from signet.analysis import classify_edges, network_linear_weights
 from signet.circuit import edge_monotonicity
+from signet.config import parse_config
 from signet.errors import DimensionMismatch, NonLinearEdges, ValidationError
 from signet.graph import Edge, Graph, incidence
 from signet.network import NetworkSystem
@@ -153,6 +155,13 @@ def test_dimension_mismatches():
         net.input([1.0, 2.0])
     with pytest.raises(DimensionMismatch):
         net.vector_field(np.zeros(5))
+    # Each function of the state checks it once, with the same message.
+    for x in (np.zeros(5), np.zeros((1, 3)), 1.0):
+        for call in (net.tension, net.node_input, net.vector_field):
+            with pytest.raises(DimensionMismatch) as raised:
+                call(x)
+            assert str(raised.value) == (
+                f"potential vector has shape {np.shape(x)}, expected (3,)")
 
 
 def test_construction_validation():
@@ -376,3 +385,46 @@ def test_joined_linear_dead_zone_group_evaluates_exactly(net, data):
     grid = GridSpec(5.0, 101)
     assert classify_edges(net, grid) == tuple(classify_sign(f, grid) for f in fns)
     assert edge_monotonicity(net, grid) == tuple(is_monotone_increasing(f, grid) for f in fns)
+
+
+# The benchmark's micro-network table: one inline spec repeated on every edge.
+_INLINE_TABLE = {"kind": "sampled_table", "zeta": [-10.0, -1.0, 0.0, 1.0, 10.0],
+                 "mu": [-4.0, -1.0, 0.0, 2.0, 9.0]}
+
+
+@pytest.mark.parametrize("negate", [False, True])
+def test_equal_tables_from_separate_specs_form_one_group(negate):
+    spec = {"kind": "negated", "fn": _INLINE_TABLE} if negate else _INLINE_TABLE
+    pairs = [(v, v % 20 + 1) for v in range(1, 21)] + [(v, (v + 6) % 20 + 1) for v in range(1, 21)]
+    doc = {"nodes": {"count": 20},
+           "edges": [{"id": k + 1, "tail": a, "head": b, "fn": spec}
+                     for k, (a, b) in enumerate(pairs)]}
+    net = parse_config(json.dumps(doc)).build_system()
+    fns = net.edge_functions
+    # The reader builds a table per spec; the 40 equal tables make one group.
+    assert len({id(f) for f in fns}) == 40
+    assert len(net._edge_groups) == 1
+    rng = np.random.default_rng(5)
+    knots = _INLINE_TABLE["zeta"]
+    zeta = np.concatenate([rng.uniform(-15.0, 15.0, (3, 40)),
+                           rng.choice(knots + [-0.0, 11.0, -11.0], (2, 40))])
+    # An edge alone evaluates a negated table as the table of negated knots,
+    # which equals Negated(table) up to the sign of a zero.
+    alone_fns = [f.inner.negated() for f in fns] if negate else fns
+    for name, method in (("flow", "__call__"), ("cocontent", "cocontent"),
+                         ("slope", "derivative")):
+        grouped = getattr(net, name)(zeta)
+        alone = np.column_stack(
+            [getattr(f, method)(zeta[:, k]) for k, f in enumerate(alone_fns)])
+        assert grouped.view(np.uint64).tolist() == alone.view(np.uint64).tolist()
+        ref = np.column_stack([getattr(f, method)(zeta[:, k]) for k, f in enumerate(fns)])
+        assert np.array_equal(grouped, ref)
+
+
+def test_tables_differing_in_a_signed_zero_stay_apart():
+    tables = [SampledTable((-1.0, 0.0, 1.0), (-1.0, mu0, 1.0)) for mu0 in (0.0, -0.0)]
+    g = Graph(3, (Edge(1, 1, 2), Edge(2, 2, 3), Edge(3, 1, 3)))
+    net = NetworkSystem(g, [Identity()] * 3, [tables[0], tables[1], tables[0]])
+    assert len(net._edge_groups) == 2
+    flow = net.flow(np.full(3, -0.0))
+    assert np.signbit(flow).tolist() == [False, True, False]

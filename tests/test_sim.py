@@ -292,11 +292,9 @@ def test_trajectory_csv_matches_formatting_each_float():
 # --- the block stepper against the per-step loop -------------------------------
 
 
-def per_step_simulate(system, x0, cfg):
-    """The stepper as one loop that checks every step as soon as it is
-    taken: the oracle that ``simulate`` must match bit for bit."""
-    x = np.array(x0, dtype=float)
-    dt = cfg.dt
+def oracle_rhs(system):
+    """The closed loop written out from the system's edge ends, grouped
+    flow and drift: a state's node input u and the field gamma(u)."""
     n, tail, head = system.node_count, system.tail, system.head
     flow, gamma = system._flow, system._gamma
 
@@ -304,6 +302,16 @@ def per_step_simulate(system, x0, cfg):
         mu = flow(state[tail] - state[head])
         u = np.bincount(head, mu, n) - np.bincount(tail, mu, n)
         return u, gamma(u)
+
+    return rhs
+
+
+def per_step_simulate(system, x0, cfg):
+    """The stepper as one loop that checks every step as soon as it is
+    taken: the oracle that ``simulate`` must match bit for bit."""
+    x = np.array(x0, dtype=float)
+    dt = cfg.dt
+    rhs = oracle_rhs(system)
 
     times = [0.0]
     states = [x.copy()]
@@ -350,7 +358,7 @@ def per_step_simulate(system, x0, cfg):
                 times.append(t)
                 states.append(x.copy())
 
-    final_u = system.node_input(states[-1])
+    final_u, _ = rhs(states[-1])
     return Trajectory(
         times=np.array(times),
         states=np.vstack(states),
@@ -387,10 +395,9 @@ def stop_step(offset, k):
 
 
 @st.composite
-def block_runs(draw):
+def block_networks(draw):
     """A network carrying every edge kind on nodes of one kind or of mixed
-    kinds, a start, and a SimConfig whose run stops at a chosen block
-    offset (or wherever drawn thresholds make it stop)."""
+    kinds, whose last two nodes grow apart from a start of (a, -a)."""
     n = draw(st.integers(2, 8))
     pairs = [(draw(st.integers(1, v - 1)), v) for v in range(2, n + 1)]
     while len(pairs) < len(EDGE_KINDS):
@@ -410,7 +417,16 @@ def block_runs(draw):
     else:
         nodes = draw(st.lists(NODE_KINDS, min_size=n + 2, max_size=n + 2))
     edges = tuple(Edge(i + 1, a, b) for i, (a, b) in enumerate(pairs))
-    net = NetworkSystem(Graph(n + 2, edges), nodes, fns)
+    return NetworkSystem(Graph(n + 2, edges), nodes, fns)
+
+
+@st.composite
+def block_runs(draw):
+    """A network of ``block_networks``, a start, and a SimConfig whose run
+    stops at a chosen block offset (or wherever drawn thresholds make it
+    stop)."""
+    net = draw(block_networks())
+    n = net.node_count - 2
 
     # A steady stop, or a reset of the steadiness window, comes after a
     # first step that starts the window (which must exceed dt).
@@ -469,6 +485,23 @@ def test_block_stepper_matches_per_step_oracle(run):
     elif stop != "free":  # the stop is where the run was made to stop
         assert want.times[-1] == s * cfg.dt
         assert (want.steady, want.blowup) == (stop == "steady", stop == "blowup")
+
+
+@given(net=block_networks(), data=st.data())
+@settings(max_examples=120, deadline=None)
+def test_closed_loop_rhs_matches_oracle(net, data):
+    # The system's node input and field, which simulate steps with, are the
+    # oracle's bit for bit, at signed zeros and overflowing states too.
+    values = st.floats(-1e3, 1e3) | st.sampled_from([0.0, -0.0, 1e300, -1e300])
+    rhs = oracle_rhs(net)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(3):
+            x = np.array(data.draw(st.lists(
+                values, min_size=net.node_count, max_size=net.node_count)))
+            u, field = rhs(x)
+            assert net.node_input(x).tobytes() == u.tobytes()
+            assert net.vector_field(x).tobytes() == field.tobytes()
+            assert net.node_input(x.tolist()).tobytes() == u.tobytes()
 
 
 def _raising_step(net, x0, cfg):
