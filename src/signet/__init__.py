@@ -16,7 +16,6 @@ from .analysis import (
     cluster_count_prediction,
     distance_bounds,
     equivalent_passivity_condition,
-    network_linear_weights,
     predict,
     signed_laplacian_min_eigenvalue,
 )
@@ -27,7 +26,6 @@ from .circuit import (
     equivalent_edge_function,
     solve_operating_point,
     tellegen_residual,
-    total_cocontent,
 )
 from .config import NetworkConfig, load_config, parse_config
 from .edgefn import (
@@ -55,11 +53,9 @@ from .errors import (
     InvalidGrid,
     NoConvergence,
     NonFiniteState,
-    NonLinearEdges,
     NotAnInterval,
     ParseError,
     SignetError,
-    UnsupportedDynamics,
     ValidationError,
 )
 from .graph import (
@@ -69,7 +65,6 @@ from .graph import (
     PathStep,
     all_simple_paths,
     connected_components,
-    cycle_indicator,
     cycles_through_edge,
     edge_blocks,
     edge_subgraph,
@@ -79,7 +74,7 @@ from .graph import (
     unique_cycle_through_edge,
 )
 from .network import NetworkSystem
-from .nodes import Identity, NodeDynamics, Saturating, SignPower, sector_check, storage
+from .nodes import Identity, NodeDynamics, Saturating, SignPower, sector_check
 from .sim import (
     Cluster,
     Outcome,
@@ -87,8 +82,6 @@ from .sim import (
     SimConfig,
     Trajectory,
     classify_outcome,
-    cocontent_profile,
-    quadratic_storage_profile,
     simulate,
     write_trajectory_csv,
 )

@@ -28,14 +28,16 @@ is given, equivalent-edge sweeps included; verdicts are certificates over
 the grid, not symbolic proofs.  Failure of every
 hypothesis yields NoGuarantee, never a divergence claim: the sufficient
 conditions say nothing about what happens when they fail (the linear
-eigenvalue oracle is the exception, and is exposed separately).
+eigenvalue oracle is the exception, and is exposed separately).  The
+paper's min-max property at a settled state, and the weights of an
+all-linear network, are checked by the tests (``tests/oracles.py``).
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -45,7 +47,7 @@ from .circuit import (
     edge_monotonicity,
     equivalent_edge_function,
 )
-from .errors import Inapplicable, NonLinearEdges, NotAnInterval
+from .errors import Inapplicable, NotAnInterval
 from .graph import (
     Graph,
     Path,
@@ -288,17 +290,6 @@ def distance_bounds(system: NetworkSystem, i: int, j: int) -> tuple[float, float
     return z_min, z_max
 
 
-def network_linear_weights(system: NetworkSystem) -> np.ndarray:
-    """Per-edge weights of an all-linear network; NonLinearEdges otherwise."""
-    ws = []
-    for e, f in zip(system.graph.edges, system.edge_functions):
-        w = ef.linear_coefficient(f)
-        if w is None:
-            raise NonLinearEdges(f"edge {e.id} is not a linear function")
-        ws.append(w)
-    return np.array(ws, dtype=float)
-
-
 def signed_laplacian_min_eigenvalue(g: Graph, weights) -> float:
     """Smallest eigenvalue of the weighted Laplacian on the agreement
     complement.
@@ -331,33 +322,3 @@ def equilibria_membership(
         out.append(interval.contains(float(z), tol=tol))
     return tuple(out)
 
-
-def strict_extremum_violations(
-    system: NetworkSystem,
-    y_final: np.ndarray,
-    strictly_positive_ids: Sequence[int],
-    tol: float,
-) -> list[int]:
-    """Nodes incident only to strictly positive edges that stick out.
-
-    At a settled state such a node must lie between the minimum and maximum
-    of its neighbors' outputs (within tol); the returned list of violators
-    is empty when the min-max property holds.
-    """
-    sp = set(strictly_positive_ids)
-    neighbors: dict[int, list[int]] = {v: [] for v in range(1, system.node_count + 1)}
-    only_sp = {v: True for v in range(1, system.node_count + 1)}
-    for e in system.graph.edges:
-        neighbors[e.tail].append(e.head)
-        neighbors[e.head].append(e.tail)
-        if e.id not in sp:
-            only_sp[e.tail] = False
-            only_sp[e.head] = False
-    bad = []
-    for v in range(1, system.node_count + 1):
-        if not only_sp[v] or not neighbors[v]:
-            continue
-        vals = [y_final[w - 1] for w in neighbors[v]]
-        if y_final[v - 1] > max(vals) + tol or y_final[v - 1] < min(vals) - tol:
-            bad.append(v)
-    return bad

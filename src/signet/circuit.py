@@ -16,7 +16,9 @@ backtracking line search, and a gradient step where the Hessian is
 unavailable (dead-zone flats) or unbounded (power laws at zero tension).
 Sweeps predict each sample by a secant through the previous two, and
 evaluate runs of such predictions in one array pass.  Only a read of an
-operating point's degeneracy flag factorizes its Hessian.
+operating point's degeneracy flag factorizes its Hessian.  The total
+cocontent of a tension vector is ``system.cocontent(zeta).sum()``, whose
+shape the network checks.
 """
 
 from __future__ import annotations
@@ -29,14 +31,9 @@ from typing import Optional
 import numpy as np
 
 from . import edgefn as ef
-from .errors import (
-    Disconnected,
-    DimensionMismatch,
-    NoConvergence,
-    ValidationError,
-)
+from .errors import Disconnected, NoConvergence, ValidationError
 from .graph import Graph, is_connected, laplacian
-from .network import NetworkSystem, ReducedLaplacian
+from .network import NetworkSystem, ReducedLaplacian, _checked
 
 # Derivatives beyond this are clamped when assembling the Newton system;
 # power-law edges have infinite slope at zero tension and the clamp simply
@@ -47,9 +44,10 @@ _ARMIJO_C = 1e-4
 _GRAD_TOL = 1e-10
 _MAX_HALVINGS = 60
 _MAX_ITER = 10_000
-# Sweep blocks: from _BLOCK_MIN rows, once that many samples in a row were
-# accepted at their prediction, doubling after each fully accepted block up
-# to _BLOCK_MAX.  A smaller block costs more than the evaluations it saves.
+# Sweep blocks: once _BLOCK_MIN samples in a row were accepted at their
+# prediction, the next block is as long as that run, up to _BLOCK_MAX, so
+# blocks double while every row passes.  A smaller block costs more than the
+# evaluations it saves.
 _BLOCK_MIN = 4
 _BLOCK_MAX = 64
 
@@ -98,16 +96,6 @@ class OperatingPoint:
     def mu(self) -> np.ndarray:
         """Flow on the real edges only."""
         return self.mu_bar[:-1]
-
-
-def total_cocontent(system: NetworkSystem, zeta: np.ndarray) -> float:
-    """Sum of the edge cocontents at the given tension vector."""
-    zeta = np.asarray(zeta, dtype=float)
-    if zeta.shape != (system.edge_count,):
-        raise DimensionMismatch(
-            f"tension vector has shape {zeta.shape}, expected ({system.edge_count},)"
-        )
-    return float(system.cocontent(zeta).sum())
 
 
 def edge_monotonicity(
@@ -200,8 +188,10 @@ def solve_operating_point(
     if it at least halves the gradient norm; otherwise the chord-majorized
     step, which does not zigzag across power-law kinks, is line-searched.
 
-    Raises NoConvergence after ``_MAX_ITER`` iterations, or as soon as the
-    objective or its gradient is not finite (an objective unbounded below).
+    Raises DimensionMismatch for a ``warm_start`` that is not one potential
+    per node, and NoConvergence after ``_MAX_ITER`` iterations, or as soon
+    as the objective or its gradient is not finite (an objective unbounded
+    below).
 
     ``_first``, private to ``equivalent_edge_function``, is a finite row of
     its block pass: this solve's first evaluation, made there.
@@ -223,7 +213,7 @@ def solve_operating_point(
         if warm_start is None:
             y = _harmonic_start(system, block, p, zeta_pq)
         else:
-            y = np.array(warm_start, dtype=float)
+            y = _checked(warm_start, "warm start", system.node_count).copy()
             y[p - 1] = zeta_pq
             y[q - 1] = 0.0
 
@@ -390,13 +380,13 @@ def equivalent_edge_function(
     def sweep(indices):
         nonlocal max_residual
         warm = previous = None
-        streak, size, k = 0, _BLOCK_MIN, 0
+        streak = k = 0
         while k < len(indices):
-            block = indices[k : k + (size if streak >= _BLOCK_MIN else 1)]
+            size = min(streak, _BLOCK_MAX) if streak >= _BLOCK_MIN else 1
+            block = indices[k : k + size]
             rows = (None,)
             if len(block) >= _BLOCK_MIN and warm is not None:
                 rows = _predicted_rows(system, p, q, zetas[list(block)], warm, previous)
-                size = min(2 * size, _BLOCK_MAX)  # kept while every row passes
             for i, row in zip(block, rows):
                 k += 1
                 zeta_pq = points[i]
@@ -418,7 +408,7 @@ def equivalent_edge_function(
                     warm = op.y if previous is None else 2.0 * op.y - previous
                     previous = op.y
                 if op.iterations > 1:  # a Newton step: later rows are stale
-                    streak, size = 0, _BLOCK_MIN
+                    streak = 0
                     break
                 streak += 1
 

@@ -116,10 +116,6 @@ class SignClass:
     def is_strictly_positive(self) -> bool:
         return self.label is SignLabel.STRICTLY_POSITIVE
 
-    @property
-    def is_negative(self) -> bool:
-        return self.label in (SignLabel.NEGATIVE, SignLabel.STRICTLY_NEGATIVE)
-
 
 @dataclass(frozen=True)
 class EquilibriaInterval:
@@ -137,10 +133,6 @@ class EquilibriaInterval:
 
     def contains(self, value: float, tol: float = 0.0) -> bool:
         return self.lower - tol <= value <= self.upper + tol
-
-    @property
-    def is_whole_line(self) -> bool:
-        return math.isinf(self.lower) and math.isinf(self.upper)
 
 
 @dataclass(frozen=True)

@@ -41,13 +41,5 @@ class NonFiniteState(SignetError):
     """Simulation produced NaN or infinite state values."""
 
 
-class NonLinearEdges(SignetError):
-    """Operation requires every edge function to be linear."""
-
-
 class Inapplicable(SignetError):
     """Preconditions of the requested prediction are not met."""
-
-
-class UnsupportedDynamics(SignetError):
-    """Operation is only defined for identity (single-integrator) dynamics."""

@@ -18,7 +18,9 @@ cycle through an edge, and Dijkstra's algorithm (1959) gives least path
 costs.  Only the queries whose answer depends on the order of the edges at
 a node build sorted adjacency lists.  Simple-path and cycle enumeration is
 exponential, guarded by an explicit node-count cap, and kept as the test
-oracle for those queries.
+oracle for those queries; the tests (``tests/oracles.py``) turn its cycles
+into signed indicator vectors, which lie in the kernel of the incidence
+matrix.
 """
 
 from __future__ import annotations
@@ -375,20 +377,6 @@ def cycles_through_edge(
         Path(tuple(PathStep(back[s.edge_id], s.flip) for s in p.steps), e.head, e.tail)
         for p in paths
     ]
-
-
-def cycle_indicator(g: Graph, edge_id: int, closing_path: Path) -> np.ndarray:
-    """Signed edge-indicator vector of the cycle (edge + closing path).
-
-    The cycle is traversed tail -> head along the edge, then back along the
-    path; entries are +1/-1 for edges traversed with/against their stored
-    orientation.  The result lies in the null space of the incidence matrix.
-    """
-    vec = np.zeros(g.edge_count)
-    vec[edge_id - 1] = 1.0
-    for s in closing_path.steps:
-        vec[s.edge_id - 1] = 1.0 if s.flip == 0 else -1.0
-    return vec
 
 
 def edge_subgraph(g: Graph, edge_ids) -> tuple[Graph, dict[int, int]]:

@@ -344,13 +344,6 @@ class NetworkSystem:
                 members = [self.edge_functions[i] for i in part]
                 yield part, _stack(members, column=True)
 
-    def input(self, mu: np.ndarray) -> np.ndarray:
-        """u = -E mu: net flow into each node (in at heads, out at tails)."""
-        mu = _checked(mu, "flow vector", self.edge_count)
-        return np.bincount(self.head, mu, self.node_count) - np.bincount(
-            self.tail, mu, self.node_count
-        )
-
     def node_input(self, x: np.ndarray) -> np.ndarray:
         """u as a function of the state, u = -E Psi(E^T x)."""
         return self._node_input(_checked(x, "potential vector", self.node_count))

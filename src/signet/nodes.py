@@ -17,7 +17,7 @@ from typing import Callable, Union
 
 import numpy as np
 
-from .errors import UnsupportedDynamics, ValidationError
+from .errors import ValidationError
 from .edgefn import GridSpec, FloatOrArray, check_parameters, power
 
 _SECTOR_EQ_TOL = 1e-12
@@ -94,15 +94,3 @@ def sector_check(
     p = u * fn(u)
     return bool(np.all((p > 0.0) | ((p == 0.0) & (np.abs(u) <= _SECTOR_EQ_TOL))))
 
-
-def storage(d: NodeDynamics, x: float, y_star: float) -> float:
-    """Energy stored in a single integrator relative to equilibrium output.
-
-    S = (x - y*)**2 / 2, defined for identity dynamics only.
-    """
-    if not isinstance(d, Identity):
-        raise UnsupportedDynamics(
-            "storage function is only defined for identity dynamics"
-        )
-    delta = x - y_star
-    return 0.5 * delta * delta

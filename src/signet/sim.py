@@ -17,6 +17,10 @@ block after a stop are discarded, so at most a block less one step is
 computed in vain, and the run, its recorded rows and its errors are those
 of a loop that checks after every step.  The stages call the right-hand
 side that ``NetworkSystem`` builds; the first keeps its node input.
+
+The Lyapunov profiles along a recorded run (the quadratic storage against
+the final state and the total cocontent) are checked by the tests
+(``tests/oracles.py``).
 """
 
 from __future__ import annotations
@@ -261,26 +265,6 @@ def classify_outcome(
     return Outcome(
         OutcomeKind.UNDECIDED, final_u_norm=tr.final_u_norm, spread=spread
     )
-
-
-def quadratic_storage_profile(tr: Trajectory) -> np.ndarray:
-    """Sum of single-integrator storages against the final state, per sample.
-
-    For positive networks of integrators this is a Lyapunov function, so the
-    profile should be non-increasing along the recorded samples.
-    """
-    delta = tr.states - tr.states[-1]
-    return 0.5 * np.sum(delta * delta, axis=1)
-
-
-def cocontent_profile(system: NetworkSystem, tr: Trajectory) -> np.ndarray:
-    """Total cocontent along the trajectory, per recorded sample.
-
-    Under the equivalent-passivity convergence conditions this is a Lyapunov
-    function for integrator networks.
-    """
-    zeta = tr.states[:, system.tail] - tr.states[:, system.head]
-    return system.cocontent(zeta).sum(axis=1)
 
 
 def write_trajectory_csv(tr: Trajectory, fh: TextIO) -> None:

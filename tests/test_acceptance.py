@@ -19,14 +19,12 @@ from signet.analysis import (
     equilibria_membership,
     equivalent_passivity_condition,
     signed_laplacian_min_eigenvalue,
-    strict_extremum_violations,
 )
 from signet.circuit import (
     effective_resistance,
     equivalent_edge_function,
     solve_operating_point,
     tellegen_residual,
-    total_cocontent,
 )
 from signet.edgefn import DeadZone, GridSpec, Linear, Negated, SampledTable
 from signet.graph import Edge, Graph, incidence
@@ -36,12 +34,15 @@ from signet.sim import (
     OutcomeKind,
     SimConfig,
     classify_outcome,
-    cocontent_profile,
-    quadratic_storage_profile,
     simulate,
 )
 
 from conftest import ELEVEN_X0, make_eleven_negative
+from oracles import (
+    cocontent_profile,
+    quadratic_storage_profile,
+    strict_extremum_violations,
+)
 
 
 @contextlib.contextmanager
@@ -164,8 +165,8 @@ def test_01_series_operating_point_exact(series_network, series_solution):
         assert series_solution["elapsed"] < 1.0
         np.testing.assert_allclose(op.zeta, [2.0, 1.0], atol=1e-9)
         np.testing.assert_allclose(op.mu, [1.0, 1.0], atol=1e-9)
-        assert abs(total_cocontent(series_network, op.zeta) - 1.5) <= 1e-9
-        subopt = total_cocontent(series_network, np.array([1.0, 2.0]))
+        assert abs(float(series_network.cocontent(op.zeta).sum()) - 1.5) <= 1e-9
+        subopt = float(series_network.cocontent(np.array([1.0, 2.0])).sum())
         assert abs(subopt - 2.25) <= 1e-9
 
 
@@ -342,12 +343,12 @@ def test_07_cocontent_minimality_and_grid_bracket():
         for net, op, zpq, p, q in (
             (netA, opA, zpqA, 1, 3), (netB, opB, zpqB, 1, 4)
         ):
-            f_star = total_cocontent(net, op.zeta)
+            f_star = float(net.cocontent(op.zeta).sum())
             for _ in range(50):
                 y = rng.uniform(-2 * abs(zpq), 2 * abs(zpq), size=net.node_count)
                 y[p - 1] = zpq
                 y[q - 1] = 0.0
-                f_rand = total_cocontent(net, net.tension(y))
+                f_rand = float(net.cocontent(net.tension(y)).sum())
                 assert f_star <= f_rand + 1e-12 * (1 + abs(f_rand))
 
         # grid oracle, one free coordinate at resolution N/500
@@ -361,7 +362,7 @@ def test_07_cocontent_minimality_and_grid_bracket():
         )
         best = grid[int(np.argmin(vals))]
         assert abs(best - opA.y[1]) <= step
-        assert total_cocontent(netA, opA.zeta) <= float(vals.min()) + 1e-12
+        assert float(netA.cocontent(opA.zeta).sum()) <= float(vals.min()) + 1e-12
 
         # grid oracle, two free coordinates at resolution N/500
         N = max(abs(zpqB), 1.0)
@@ -376,7 +377,7 @@ def test_07_cocontent_minimality_and_grid_bracket():
         k = np.unravel_index(int(np.argmin(vals)), vals.shape)
         assert abs(axis[k[0]] - opB.y[1]) <= step
         assert abs(axis[k[1]] - opB.y[2]) <= step
-        assert total_cocontent(netB, opB.zeta) <= float(vals.min()) + 1e-12
+        assert float(netB.cocontent(opB.zeta).sum()) <= float(vals.min()) + 1e-12
 
 
 def _single_non_strict_identity(net, fn_hat, tension_on_hat, table):

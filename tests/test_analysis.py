@@ -16,10 +16,8 @@ from signet.analysis import (
     distance_bounds,
     equilibria_membership,
     equivalent_passivity_condition,
-    network_linear_weights,
     predict,
     signed_laplacian_min_eigenvalue,
-    strict_extremum_violations,
 )
 from signet.circuit import edge_monotonicity, effective_resistance
 from signet.config import load_config
@@ -36,13 +34,14 @@ from signet.edgefn import (
     classify_sign,
     is_monotone_increasing,
 )
-from signet.errors import Inapplicable, NonLinearEdges, NotAnInterval
+from signet.errors import Inapplicable, NotAnInterval
 from signet.graph import Edge, Graph
 from signet.network import NetworkSystem
 from signet.nodes import Identity
 from signet.sim import OutcomeKind, SimConfig, classify_outcome, simulate
 
 from conftest import reference_edge_monotonicity, reference_classify_edges
+from oracles import NonLinearEdges, network_linear_weights, strict_extremum_violations
 
 GRID = GridSpec(100.0, 2001)
 COARSE = GridSpec(100.0, 401)

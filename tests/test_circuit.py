@@ -17,7 +17,6 @@ from signet.circuit import (
     equivalent_edge_function,
     solve_operating_point,
     tellegen_residual,
-    total_cocontent,
 )
 from signet.config import load_config
 from signet.edgefn import (
@@ -46,20 +45,22 @@ def test_series_operating_point_exact(series_network):
     np.testing.assert_allclose(op.zeta, [2.0, 1.0], atol=1e-9)
     np.testing.assert_allclose(op.mu, [1.0, 1.0], atol=1e-9)
     assert op.terminal_flow == pytest.approx(1.0, abs=1e-9)
-    assert total_cocontent(series_network, op.zeta) == pytest.approx(1.5, abs=1e-9)
+    F = float(series_network.cocontent(op.zeta).sum())
+    assert F == pytest.approx(1.5, abs=1e-9)
     assert op.zeta_bar[-1] == 3.0 and op.mu_bar[-1] == pytest.approx(-1.0)
     assert not op.degenerate
 
 
 def test_series_suboptimal_assignment_costs_more(series_network):
-    assert total_cocontent(series_network, np.array([1.0, 2.0])) == pytest.approx(2.25)
+    F = float(series_network.cocontent(np.array([1.0, 2.0])).sum())
+    assert F == pytest.approx(2.25)
 
 
 def test_zero_terminal_tension_is_trivial(series_network):
     op = solve_operating_point(series_network, 1, 3, 0.0)
     assert np.all(op.y == 0.0)
     assert op.terminal_flow == 0.0
-    assert total_cocontent(series_network, op.zeta) == 0.0
+    assert float(series_network.cocontent(op.zeta).sum()) == 0.0
 
 
 def test_unit_triangle_terminal_flow(triangle_unit_network):
@@ -518,12 +519,12 @@ def test_cocontent_minimality_against_random_feasible_points():
     instances.append((net4, 1, 4, 5.0))
     for net, p, q, zpq in instances:
         op = solve_operating_point(net, p, q, zpq)
-        f_star = total_cocontent(net, op.zeta)
+        f_star = float(net.cocontent(op.zeta).sum())
         for _ in range(50):
             y = rng.uniform(-2 * abs(zpq), 2 * abs(zpq), size=net.node_count)
             y[p - 1] = zpq
             y[q - 1] = 0.0
-            f_rand = total_cocontent(net, net.tension(y))
+            f_rand = float(net.cocontent(net.tension(y)).sum())
             assert f_star <= f_rand + 1e-12 * (1.0 + abs(f_rand))
 
 
@@ -535,7 +536,7 @@ def grid_search_minimum(net, p, q, zpq, half, step):
     if len(free) == 1:
         ys = np.tile([zpq, 0.0, 0.0], (axes[0].size, 1))
         ys[:, free[0]] = axes[0]
-        vals = [total_cocontent(net, net.tension(y)) for y in ys]
+        vals = [float(net.cocontent(net.tension(y)).sum()) for y in ys]
         k = int(np.argmin(vals))
         return vals[k], ys[k]
     grids = np.meshgrid(*axes, indexing="ij")
@@ -544,7 +545,7 @@ def grid_search_minimum(net, p, q, zpq, half, step):
     y[p - 1] = zpq
     for row in flat:
         y[free] = row
-        v = total_cocontent(net, net.tension(y))
+        v = float(net.cocontent(net.tension(y)).sum())
         if v < best:
             best, best_y = v, y.copy()
     return best, best_y
@@ -559,7 +560,7 @@ def test_grid_search_brackets_solver_minimum():
     step = n_scale / 500.0
     best, best_y = grid_search_minimum(net, 1, 3, zpq, 2 * n_scale, step)
     assert abs(best_y[1] - op.y[1]) <= step
-    assert total_cocontent(net, op.zeta) <= best + 1e-12
+    assert float(net.cocontent(op.zeta).sum()) <= best + 1e-12
 
     # two free nodes, coarser scan for runtime
     g4 = Graph(4, (Edge(1, 1, 2), Edge(2, 2, 3), Edge(3, 3, 4)))
@@ -571,7 +572,7 @@ def test_grid_search_brackets_solver_minimum():
     step = max(abs(zpq), 1.0) / 100.0
     best, best_y = grid_search_minimum(net4, 1, 4, zpq, 2 * zpq, step)
     assert np.max(np.abs(best_y[[1, 2]] - op4.y[[1, 2]])) <= step
-    assert total_cocontent(net4, op4.zeta) <= best + 1e-12
+    assert float(net4.cocontent(op4.zeta).sum()) <= best + 1e-12
 
 
 def test_minimum_cocontent_equals_equivalent_table_cocontent():
@@ -579,7 +580,7 @@ def test_minimum_cocontent_equals_equivalent_table_cocontent():
     for net, zpq in ((dz_linear_series(), 3.0), (dz_linear_series(), 5.5)):
         op = solve_operating_point(net, 1, 3, zpq)
         table = equivalent_edge_function(net, 1, 3, GridSpec(8.0, 1601))
-        direct = total_cocontent(net, op.zeta)
+        direct = float(net.cocontent(op.zeta).sum())
         via_table = table.as_edge_function().cocontent(zpq)
         assert via_table == pytest.approx(direct, rel=1e-6)
 
@@ -602,13 +603,29 @@ def test_linear_tables_match_effective_resistance():
         np.testing.assert_allclose(table.mus, table.zetas / r, atol=1e-8)
 
 
+@pytest.mark.parametrize("shape", [(5,), (2,), (2, 3)])
+def test_warm_start_of_the_wrong_shape_is_rejected(config_dir, shape):
+    # A 5-entry start once gave a 5-entry y for 3 nodes, and the others an
+    # IndexError.
+    system = load_config(config_dir / "three_node_series.json").build_system()
+    with pytest.raises(DimensionMismatch) as info:
+        solve_operating_point(system, 1, 3, 1.0, warm_start=np.zeros(shape))
+    assert str(info.value) == f"warm start has shape {shape}, expected (3,)"
+
+
+def test_warm_start_is_not_written_to(series_network):
+    warm = np.ones(3)
+    op = solve_operating_point(series_network, 1, 3, 2.0, warm_start=warm)
+    assert np.array_equal(warm, np.ones(3)) and op.y.shape == (3,)
+
+
 def test_terminal_validation(series_network):
     with pytest.raises(ValidationError):
         solve_operating_point(series_network, 1, 1, 1.0)
     with pytest.raises(ValidationError):
         solve_operating_point(series_network, 0, 3, 1.0)
     with pytest.raises(DimensionMismatch):
-        total_cocontent(series_network, np.zeros(3))
+        series_network.cocontent(np.zeros(3))
 
 
 def _ring_edge(kind, w, x, w_dz):

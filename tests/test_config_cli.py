@@ -8,6 +8,7 @@ import math
 import shutil
 import time
 import warnings
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -15,7 +16,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from signet import analysis, circuit, cli, config
+from signet import analysis, circuit, cli, config, edgefn
 from signet.config import load_config, parse_config
 from signet.edgefn import (
     DeadZone, GridSpec, Linear, Negated, PowerSign, SampledTable, Sinusoid, Sum,
@@ -25,6 +26,8 @@ from signet.errors import ParseError, ValidationError
 from signet.sim import SimConfig
 
 from conftest import CONFIG_DIR, reference_classify_edges, reference_edge_monotonicity
+
+DATA_DIR = Path(__file__).resolve().parent / "data"
 
 MINIMAL = {
     "nodes": {"count": 2},
@@ -481,6 +484,45 @@ def test_cli_eqfun_warns_in_one_line_per_edge(tmp_path, capsys):
     assert err.count("\n") == 1 and err.startswith("warning: edge 1:")
     assert "non-unique" in err and ".py" not in err and "/" not in err
     assert (tmp_path / "o" / "eqfun.csv").exists()
+
+
+def test_cli_runs_every_command_on_a_sinusoid_edge(tmp_path, capsys):
+    # No shipped config has a sinusoid edge, whose zeros are isolated points.
+    cfg = DATA_DIR / "sinusoid_triangle.json"
+    commands = ("simulate", "classify", "eqfun", "predict")
+    codes = [run_cli(c, "--config", cfg, "--out", tmp_path / c) for c in commands]
+    assert codes == [0, 0, 0, 0]
+    assert capsys.readouterr().err == (
+        "warning: edge 3: function is not monotone on the check grid; "
+        "the cocontent objective may be nonconvex\n"
+    )
+    outcome = (tmp_path / "simulate" / "outcome.txt").read_text().splitlines()
+    assert outcome[0] == "outcome: agreement"
+    assert outcome[-1] == "equilibria_membership: 1=yes,2=yes,3=n/a"
+    rows = (tmp_path / "classify" / "classification.csv").read_text().splitlines()
+    assert [r.split(",")[1] for r in rows[1:]] == [
+        "strictly_positive", "strictly_positive", "indefinite",
+    ]
+    assert len((tmp_path / "eqfun" / "eqfun.csv").read_text().splitlines()) == 1 + 201
+    prediction = (tmp_path / "predict" / "prediction.txt").read_text().splitlines()
+    assert prediction[:2] == [
+        "verdict: agreement_guaranteed", "applied_result: strict-equivalent-passivity",
+    ]
+
+
+def test_cli_simulate_settles_on_a_linear_plus_dead_zone_edge(tmp_path, capsys):
+    # A sum with a dead-zone term has no closed-form zero interval, so the
+    # membership line scans for it.
+    scan = mock.patch.object(
+        edgefn, "_equilibria_by_scan", wraps=edgefn._equilibria_by_scan
+    )
+    with scan as spy:
+        assert run_cli("simulate", "--config", DATA_DIR / "sum_linear_dead_zone.json",
+                       "--out", tmp_path / "o") == 0
+    assert spy.call_count == 1 and capsys.readouterr().err == ""
+    outcome = (tmp_path / "o" / "outcome.txt").read_text().splitlines()
+    assert outcome[0] == "outcome: agreement"
+    assert outcome[-1] == "equilibria_membership: 1=yes,2=yes"
 
 
 @pytest.mark.parametrize("command", ["simulate", "eqfun"])

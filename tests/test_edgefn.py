@@ -175,7 +175,7 @@ def test_equilibria_examples():
     assert Linear(0.5).equilibria().upper == 0.0
     assert PowerSign(1.0, 0.3).equilibria().lower == 0.0
     whole = Sum((Linear(1 / 3), Negated(Linear(1 / 3)))).equilibria()
-    assert whole.is_whole_line
+    assert (whole.lower, whole.upper) == (-math.inf, math.inf)
     with pytest.raises(NotAnInterval):
         Sinusoid(1.0).equilibria()
 

@@ -18,7 +18,6 @@ from signet.graph import (
     _adjacency,
     all_simple_paths,
     connected_components,
-    cycle_indicator,
     cycles_through_edge,
     edge_blocks,
     edge_subgraph,
@@ -26,6 +25,8 @@ from signet.graph import (
     is_connected,
     unique_cycle_through_edge,
 )
+
+from oracles import cycle_indicator
 
 
 def test_single_edge_incidence_column():

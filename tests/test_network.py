@@ -21,15 +21,16 @@ from signet.edgefn import (
     flip_conjugate,
     is_monotone_increasing,
 )
-from signet.analysis import classify_edges, network_linear_weights
+from signet.analysis import classify_edges
 from signet.circuit import edge_monotonicity
 from signet.config import parse_config
-from signet.errors import DimensionMismatch, NonLinearEdges, ValidationError
+from signet.errors import DimensionMismatch, ValidationError
 from signet.graph import Edge, Graph, incidence
 from signet.network import NetworkSystem
 from signet.nodes import Identity, Saturating, SignPower
 
 from conftest import SIX_EDGES
+from oracles import NonLinearEdges, network_linear_weights
 
 
 def triangle_net(fn3=Linear(1 / 3)):
@@ -54,12 +55,15 @@ def test_flow_examples(series_network):
 
 
 def test_input_balances_circulating_flow():
-    net = triangle_net()
-    np.testing.assert_allclose(net.input([1.0, 1.0, -1.0]), np.zeros(3))
-    np.testing.assert_allclose(net.input([0.0, 0.0, 0.0]), np.zeros(3))
+    # At this state the flows 1, 1, -1 circulate around the triangle.
+    net = triangle_net(Linear(-1 / 3))
+    x = np.array([3.0, 1.0, 0.0])
+    np.testing.assert_array_equal(net.flow(net.tension(x)), [1.0, 1.0, -1.0])
+    np.testing.assert_allclose(net.node_input(x), np.zeros(3))
+    np.testing.assert_allclose(net.node_input(np.zeros(3)), np.zeros(3))
     g = Graph(2, (Edge(1, 1, 2),))
     single = NetworkSystem(g, [Identity()] * 2, [Linear(1.0)])
-    np.testing.assert_allclose(single.input([1.0]), [-1.0, 1.0])
+    np.testing.assert_allclose(single.node_input([1.0, 0.0]), [-1.0, 1.0])
 
 
 def test_vector_field_two_node_pair():
@@ -102,7 +106,7 @@ def test_power_identity(six_clustering_network):
         y = rng.uniform(-10, 10, size=net.node_count)
         zeta = net.tension(y)
         mu = net.flow(zeta)
-        u = net.input(mu)
+        u = net.node_input(y)
         scale = 1.0 + abs(float(u @ y))
         assert abs(float(u @ y) + float(mu @ zeta)) <= 1e-12 * scale
 
@@ -151,8 +155,6 @@ def test_dimension_mismatches():
         net.tension([1.0, 2.0])
     with pytest.raises(DimensionMismatch):
         net.flow([1.0])
-    with pytest.raises(DimensionMismatch):
-        net.input([1.0, 2.0])
     with pytest.raises(DimensionMismatch):
         net.vector_field(np.zeros(5))
     # Each function of the state checks it once, with the same message.
@@ -312,9 +314,13 @@ def test_edge_index_arithmetic_matches_dense_incidence(g, data):
     p, q = data.draw(st.lists(st.integers(1, n), min_size=2, max_size=2, unique=True))
 
     assert np.array_equal(net.tension(y), E.T @ y)
-    # Relative to the magnitude of what is summed: summation order differs.
+    # The drawn flows as linear weights: u = -E diag(mu) E^T y.  Relative to
+    # the magnitude of what is summed: summation order differs.
+    weighted = NetworkSystem(g, [Identity()] * n, [Linear(float(w)) for w in mu])
+    flows = mu * (E.T @ y)
     np.testing.assert_allclose(
-        net.input(mu), -(E @ mu), rtol=1e-12, atol=1e-12 * np.abs(mu).sum()
+        weighted.node_input(y), -(E @ flows), rtol=1e-12,
+        atol=1e-12 * np.abs(flows).sum(),
     )
     block = net.reduced_laplacian(p, q)
     E_free = E[block.free]

@@ -1,11 +1,11 @@
-"""Node dynamics: gamma, sector condition, storage."""
+"""Node dynamics: gamma and the sector condition."""
 
 import numpy as np
 import pytest
 
 from signet.edgefn import GridSpec
-from signet.errors import UnsupportedDynamics, ValidationError
-from signet.nodes import Identity, Saturating, SignPower, sector_check, storage
+from signet.errors import ValidationError
+from signet.nodes import Identity, Saturating, SignPower, sector_check
 
 GRID = GridSpec(10.0, 1001)
 
@@ -39,18 +39,6 @@ def test_batch_gamma_matches_scalar():
     for d in (Identity(), SignPower(2.0, 0.4), Saturating(3.0, 0.5)):
         scalar = [d.gamma(float(v)) for v in u]
         np.testing.assert_array_max_ulp(d.gamma(u), scalar, maxulp=2)
-
-
-def test_storage_examples():
-    d = Identity()
-    assert storage(d, 3.0, 1.0) == 2.0
-    assert storage(d, 1.0, 1.0) == 0.0
-    assert storage(d, 0.0, 2.0) == 2.0
-
-
-def test_storage_rejects_non_identity():
-    with pytest.raises(UnsupportedDynamics):
-        storage(SignPower(1.0, 0.5), 1.0, 0.0)
 
 
 def test_parameter_validation():

@@ -20,13 +20,12 @@ from signet.sim import (
     SimConfig,
     Trajectory,
     classify_outcome,
-    cocontent_profile,
-    quadratic_storage_profile,
     simulate,
     write_trajectory_csv,
 )
 
 from conftest import SIX_X0
+from oracles import cocontent_profile, quadratic_storage_profile
 from test_network import EDGE_KINDS, NODE_KINDS
 
 
