@@ -19,7 +19,10 @@ the members of a group are stacked into one object of that kind whose
 float parameters are arrays, so flow, cocontent, slope and the node drifts
 each cost one numpy call per group on arrays of shape (..., m) or (..., n).
 A single group covering every edge is called directly, without a gather
-and scatter.  Linear edges join the dead-zone group when a network has
+and scatter.  Otherwise a group whose positions are evenly spaced (a
+contiguous run, or every other edge) reads and writes them through a
+strided view; only irregular positions are gathered and scattered by an
+index array.  Linear edges join the dead-zone group when a network has
 both, bare or under a negation: a linear edge is a dead zone of band 0,
 whose flow and cocontent formulas then give the linear ones bit for bit
 (the slope takes a mask, and a cocontent at -NaN reads +NaN), so the two
@@ -151,7 +154,8 @@ _JOINS = (
 
 def _group_by_kind(objs: Sequence) -> list[tuple[Union[slice, np.ndarray], object]]:
     """(positions, stacked object) per kind, positions as a slice when they
-    are contiguous so that gathering them is a view.  When every kind has
+    are evenly spaced (a lone member is a step-1 slice) so that gathering
+    them is a strided view, else as an index array.  When every kind has
     float parameters only, the types are the keys and ``_kind_key`` is not
     called."""
     keys = list(map(type, objs))
@@ -166,9 +170,10 @@ def _group_by_kind(objs: Sequence) -> list[tuple[Union[slice, np.ndarray], objec
         positions.setdefault(key, []).append(i)
     groups = []
     for idx in positions.values():
+        step = idx[1] - idx[0] if len(idx) > 1 else 1
         at = (
-            slice(idx[0], idx[-1] + 1)
-            if idx[-1] - idx[0] == len(idx) - 1
+            slice(idx[0], idx[-1] + 1, step)
+            if idx == list(range(idx[0], idx[-1] + 1, step))
             else np.array(idx, dtype=np.intp)
         )
         groups.append((at, _stack([objs[i] for i in idx])))

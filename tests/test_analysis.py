@@ -511,14 +511,24 @@ _grids = st.builds(
 @st.composite
 def certificate_networks(draw):
     """Connected multigraphs with every edge kind, nested negations and
-    sums, and one kind repeated often enough to need several chunks."""
-    fns = [draw(kind) for kind in _leaf_kinds]
-    fns += [draw(st.builds(Negated, _edge_fns)),
-            draw(st.lists(_edge_fns, min_size=1, max_size=3).map(Sum))]
-    fns += draw(st.lists(_edge_fns, max_size=8))
-    bulk = draw(st.sampled_from(_leaf_kinds))
-    fns += draw(st.lists(bulk, max_size=30))
-    fns = draw(st.permutations(fns))
+    sums, and either one kind repeated often enough to need several chunks,
+    in random positions, or the leaf kinds dealt round-robin by edge id."""
+    if draw(st.booleans()):
+        fns = [draw(kind) for kind in _leaf_kinds]
+        fns += [draw(st.builds(Negated, _edge_fns)),
+                draw(st.lists(_edge_fns, min_size=1, max_size=3).map(Sum))]
+        fns += draw(st.lists(_edge_fns, max_size=8))
+        bulk = draw(st.sampled_from(_leaf_kinds))
+        fns += draw(st.lists(bulk, max_size=30))
+        fns = draw(st.permutations(fns))
+    else:
+        # Leaf kinds dealt round-robin by edge id, so that a group's
+        # positions are evenly spaced: 3 to 10 members at a step of one
+        # round; then one negation and one sum.
+        kinds = draw(st.permutations(_leaf_kinds))
+        fns = [draw(kind) for _ in range(draw(st.integers(3, 10))) for kind in kinds]
+        fns += [draw(st.builds(Negated, _edge_fns)),
+                draw(st.lists(_edge_fns, min_size=1, max_size=3).map(Sum))]
     n = draw(st.integers(2, 6))
     pairs = [(draw(st.integers(1, v - 1)), v) for v in range(2, n + 1)]
     while len(pairs) < len(fns):

@@ -427,6 +427,53 @@ def test_equal_tables_from_separate_specs_form_one_group(negate):
         assert np.array_equal(grouped, ref)
 
 
+_LAYOUT_KINDS = {
+    "L": lambda k: Linear(0.5 + k),
+    "P": lambda k: PowerSign(0.5 + k, 0.05 + 0.1 * k),
+    "S": lambda k: Sinusoid(0.5 + k),
+}
+
+
+# Edge kinds by id (linear, power law, sinusoid) and the positions of each
+# group in order of first member: a slice where they are evenly spaced.
+@pytest.mark.parametrize("layout, groups", [
+    ("LPLPLPLP", [slice(0, 8, 2), slice(1, 8, 2)]),  # the benchmark's large networks
+    ("LPSLPSLPS", [slice(0, 9, 3), slice(1, 9, 3), slice(2, 9, 3)]),
+    ("LLLPPPP", [slice(0, 3, 1), slice(3, 7, 1)]),
+    ("LLLLP", [slice(0, 4, 1), slice(4, 5, 1)]),
+    ("LLPL", [[0, 1, 3], slice(2, 3, 1)]),
+], ids=["alternating", "stride-3", "contiguous", "single", "irregular"])
+@given(data=st.data())
+@settings(max_examples=30, deadline=None)
+def test_evenly_spaced_groups_are_strided_views(layout, groups, data):
+    m = len(layout)
+    fns = [_LAYOUT_KINDS[c](k) for k, c in enumerate(layout)]
+    g = Graph(m + 1, tuple(Edge(k + 1, k + 1, k + 2) for k in range(m)))
+    net = NetworkSystem(g, [Identity()] * (m + 1), fns)
+    ats = [at for at, _ in net._edge_groups]
+    assert len(ats) == len(groups)
+    for at, want in zip(ats, groups):
+        if isinstance(want, slice):
+            assert type(at) is slice and at.step == want.step
+            assert range(m)[at] == range(m)[want]
+        else:
+            assert at.dtype == np.intp and at.tolist() == want
+    covered = np.concatenate([np.arange(m)[at] for at in ats])
+    assert sorted(covered.tolist()) == list(range(m))
+    # Grouped evaluation on a row and on a (3, m) block is each edge's alone.
+    values = st.sampled_from(_SPECIAL) | st.floats(-10.0, 10.0)
+    zeta = np.array(data.draw(st.lists(
+        st.lists(values, min_size=m, max_size=m), min_size=3, max_size=3)))
+    with np.errstate(invalid="ignore", divide="ignore"):
+        for name, method in (("flow", "__call__"), ("cocontent", "cocontent"),
+                             ("slope", "derivative")):
+            alone = np.column_stack(
+                [getattr(f, method)(zeta[:, k]) for k, f in enumerate(fns)])
+            for z, want in ((zeta[0], alone[0]), (zeta, alone)):
+                got = getattr(net, name)(z)
+                assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()
+
+
 def test_tables_differing_in_a_signed_zero_stay_apart():
     tables = [SampledTable((-1.0, 0.0, 1.0), (-1.0, mu0, 1.0)) for mu0 in (0.0, -0.0)]
     g = Graph(3, (Edge(1, 1, 2), Edge(2, 2, 3), Edge(3, 1, 3)))

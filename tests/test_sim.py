@@ -395,14 +395,21 @@ def stop_step(offset, k):
 
 @st.composite
 def block_networks(draw):
-    """A network carrying every edge kind on nodes of one kind or of mixed
-    kinds, whose last two nodes grow apart from a start of (a, -a)."""
+    """A network carrying every edge kind, in random positions or dealt
+    round-robin by edge id, on nodes of one kind or of mixed kinds, whose
+    last two nodes grow apart from a start of (a, -a)."""
     n = draw(st.integers(2, 8))
     pairs = [(draw(st.integers(1, v - 1)), v) for v in range(2, n + 1)]
-    while len(pairs) < len(EDGE_KINDS):
+    if draw(st.booleans()):
+        fns = draw(st.permutations([draw(kind) for kind in EDGE_KINDS]))
+    else:
+        # Kinds dealt round-robin by edge id, so that a group's positions
+        # are evenly spaced: three or four members at a step of one round.
+        kinds = draw(st.permutations(EDGE_KINDS))
+        fns = [draw(kind) for _ in range(draw(st.integers(3, 4))) for kind in kinds]
+    while len(pairs) < len(fns):
         a, b = draw(st.lists(st.integers(1, n), min_size=2, max_size=2, unique=True))
         pairs.append((a, b))
-    fns = draw(st.permutations([draw(kind) for kind in EDGE_KINDS]))
     # Nodes n + 1 and n + 2, joined by a negated linear edge, grow apart
     # from a start of (a, -a); a zero-weight edge ties them to the rest.
     w = draw(st.floats(0.5, 5.0))
