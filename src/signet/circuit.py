@@ -217,19 +217,18 @@ def solve_operating_point(
             y[p - 1] = zeta_pq
             y[q - 1] = 0.0
 
-        n, tail, head = system.node_count, system.tail, system.head
-        flow, cocontent = system._flow, system._cocontent
+        coupling, cocontent = system._coupling, system._cocontent
 
         def evaluate(yv: np.ndarray):
             """(yv, objective, net outflow E mu per node, its max |.| over the
-            free nodes, where it is the objective's gradient, tension, flow)."""
-            zeta = yv[tail] - yv[head]
-            mu = flow(zeta)
+            free nodes, where it is the objective's gradient, tension, flow),
+            from the system's coupling: E mu is each node's sent - received."""
+            zeta, mu, sent, received = coupling(yv, True)
             # A solve not handed a block row evaluates at least once; the ufunc
             # reductions are what ndarray.sum/.all/.max call, without their
             # Python-level wrappers.
             F = float(np.add.reduce(cocontent(zeta)))
-            outflow = np.bincount(tail, mu, n) - np.bincount(head, mu, n)
+            outflow = sent - received
             if not (math.isfinite(F) and np.logical_and.reduce(np.isfinite(outflow))):
                 raise NoConvergence(
                     f"objective or gradient not finite at zeta_pq = {zeta_pq:.6g}; "
@@ -434,31 +433,22 @@ def _predicted_rows(
     2 y_(r-1) - y_(r-2) (``last`` is row -1), pinned to (zetas[r], 0).  The
     pins touch only their own entries, so the free ones are the sequential
     sweep's while its samples are accepted.  A row is ``evaluate``'s tuple
-    plus zeta_bar and mu_bar, bit for bit: one bincount over B n bins keeps
-    each node's edge order.  A row that is not finite is None, so its solve
-    raises as it would have.
+    plus zeta_bar and mu_bar, bit for bit: the system's coupling of the B
+    states gives each row in the layout and edge order of one state's.  A
+    row that is not finite is None, so its solve raises as it would have.
     """
-    B, n, m = zetas.size, system.node_count, system.edge_count
-    Y = np.empty((B, n))
+    Y = np.empty((zetas.size, system.node_count))
     Y[0] = warm
     ys = list(Y)
     for before, prev, y in zip([last] + ys, ys, ys[1:]):
         np.subtract(np.multiply(prev, 2.0, y), before, y)
     Y[:, p - 1] = zetas
     Y[:, q - 1] = 0.0
-    tail, head = system.tail, system.head
-    zeta_bar, mu_bar = np.empty((B, m + 1)), np.empty((B, m + 1))
-    zeta = np.subtract(Y[:, tail], Y[:, head], out=zeta_bar[:, :m])
-    mu = system._flow(zeta)
+    zeta, mu, sent, received = system._coupling(Y, True)
     F = np.add.reduce(system._cocontent(zeta), axis=1)
-    offset, flat = np.arange(0, B * n, n)[:, None], mu.ravel()
-    outflow = (
-        np.bincount((tail + offset).ravel(), flat, B * n)
-        - np.bincount((head + offset).ravel(), flat, B * n)
-    ).reshape(B, n)
-    mu_bar[:, :m] = mu
-    zeta_bar[:, m] = zetas
-    mu_bar[:, m] = -outflow[:, p - 1]
+    outflow = sent - received
+    zeta_bar = np.concatenate((zeta, zetas[:, None]), axis=1)
+    mu_bar = np.concatenate((mu, -outflow[:, p - 1 : p]), axis=1)
     finite = np.isfinite(F) & np.logical_and.reduce(np.isfinite(outflow), axis=1)
     free = system.reduced_laplacian(p, q).free
     g_norm = np.maximum.reduce(np.abs(outflow[:, free]), axis=1, initial=0.0)

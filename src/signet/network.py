@@ -8,11 +8,10 @@ field is independent of the chosen edge orientations.
 E has exactly two nonzeros per column, so it is never formed: the system
 keeps the 0-based tail and head of every edge, the tension is the gather
 y[tail] - y[head] and the node input is a scatter-add of the flows, both
-O(node_count + edge_count).  The closed loop's right-hand side is built
-from these once, unchecked: the node input u of a state, and the field
-gamma(u), which is u itself when every node is an integrator (identity
-nodes skip the drift).  ``node_input``, ``vector_field`` and
-``sim.simulate`` all call it.
+O(node_count + edge_count).  One unchecked function, built once, does this
+for one state or a block of B states, gathering rows row-major so that each
+is one state's bit for bit; it serves ``sim.simulate``'s RK4 stages,
+``node_input``, ``vector_field`` and ``circuit``'s solves and block rows.
 
 Edge functions and node dynamics are grouped by kind once, at construction:
 the members of a group are stacked into one object of that kind whose
@@ -287,15 +286,26 @@ class NetworkSystem:
         n, tail, head = graph.node_count, self.tail, self.head
         flow, gamma = self._flow, self._gamma
 
-        # The closed loop's right-hand side on an unchecked state of shape
-        # (n,): u = -E Psi(E^T y), and gamma(u), which is u at integrators.
-        def node_input(y: np.ndarray) -> np.ndarray:
-            mu = flow(y[tail] - y[head])
-            return np.bincount(head, mu, n) - np.bincount(tail, mu, n)
+        # E Psi(E^T y) of an unchecked state (n,) or (B, n): u, or with parts the
+        # tension, flow and each node's flows sent (as tail) and received (as
+        # head).  take() gathers rows row-major (y[:, tail] would change the bits
+        # of row sums); no comprehension, whose free names would be slow cells.
+        def coupling(y: np.ndarray, parts: bool = False):
+            if y.ndim == 1:
+                zeta = y[tail] - y[head]
+                mu = flow(zeta)
+                sent, received = np.bincount(tail, mu, n), np.bincount(head, mu, n)
+            else:
+                zeta = y.take(tail, axis=1) - y.take(head, axis=1)
+                mu, at = flow(zeta), np.arange(0, y.size, n)[:, None]
+                sent = np.bincount((tail + at).ravel(), mu.ravel(), y.size)
+                received = np.bincount((head + at).ravel(), mu.ravel(), y.size)
+                sent, received = sent.reshape(y.shape), received.reshape(y.shape)
+            return (zeta, mu, sent, received) if parts else received - sent
 
-        self._node_input = self._field = node_input
+        self._coupling = self._field = coupling
         if any(type(d) is not Identity for d in self.node_dynamics):
-            self._field = lambda y: gamma(node_input(y))
+            self._field = lambda y: gamma(coupling(y))
         at_zero = np.abs(flow(np.zeros(m)))
         for i in np.flatnonzero(at_zero > 1e-12)[:1]:
             raise ValidationError(f"edge function {i + 1} must vanish at 0")
@@ -351,7 +361,7 @@ class NetworkSystem:
 
     def node_input(self, x: np.ndarray) -> np.ndarray:
         """u as a function of the state, u = -E Psi(E^T x)."""
-        return self._node_input(_checked(x, "potential vector", self.node_count))
+        return self._coupling(_checked(x, "potential vector", self.node_count))
 
     def vector_field(self, x: np.ndarray) -> np.ndarray:
         """x'_i = gamma_i(u_i) with y = x."""

@@ -132,7 +132,7 @@ def simulate(system: NetworkSystem, x0, cfg: SimConfig) -> Trajectory:
     """
     n = system.node_count
     x = _checked(x0, "initial state", n)
-    node_input, field, gamma = system._node_input, system._field, system._gamma
+    node_input, field, gamma = system._coupling, system._field, system._gamma
     integrators = field is node_input
     dt, steps, every = cfg.dt, cfg.steps, cfg.record_every
     u_tol, window, threshold = cfg.u_tol, cfg.window, cfg.blowup_threshold

@@ -268,6 +268,68 @@ def mixed_networks(draw):
     return NetworkSystem(Graph(n, edges), dynamics, fns)
 
 
+@st.composite
+def block_networks(draw):
+    """A network carrying every edge kind, in random positions or dealt
+    round-robin by edge id, on nodes of one kind or of mixed kinds, whose
+    last two nodes grow apart from a start of (a, -a)."""
+    n = draw(st.integers(2, 8))
+    pairs = [(draw(st.integers(1, v - 1)), v) for v in range(2, n + 1)]
+    if draw(st.booleans()):
+        fns = draw(st.permutations([draw(kind) for kind in EDGE_KINDS]))
+    else:
+        # Kinds dealt round-robin by edge id, so that a group's positions
+        # are evenly spaced: three or four members at a step of one round.
+        kinds = draw(st.permutations(EDGE_KINDS))
+        fns = [draw(kind) for _ in range(draw(st.integers(3, 4))) for kind in kinds]
+    while len(pairs) < len(fns):
+        a, b = draw(st.lists(st.integers(1, n), min_size=2, max_size=2, unique=True))
+        pairs.append((a, b))
+    # Nodes n + 1 and n + 2, joined by a negated linear edge, grow apart
+    # from a start of (a, -a); a zero-weight edge ties them to the rest.
+    w = draw(st.floats(0.5, 5.0))
+    fns += [Negated(Linear(w)), Linear(0.0)]
+    pairs += [(n + 1, n + 2), (1, n + 1)]
+    dynamics = draw(st.sampled_from(["identity", "one", "mixed"]))
+    if dynamics == "identity":
+        nodes = [Identity()] * (n + 2)
+    elif dynamics == "one":
+        nodes = [draw(NODE_KINDS)] * (n + 2)
+    else:
+        nodes = draw(st.lists(NODE_KINDS, min_size=n + 2, max_size=n + 2))
+    edges = tuple(Edge(i + 1, a, b) for i, (a, b) in enumerate(pairs))
+    return NetworkSystem(Graph(n + 2, edges), nodes, fns)
+
+
+@given(net=block_networks(), data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_coupling_of_a_block_matches_each_state(net, data):
+    # Each row of a (B, n) call is the one-state call bit for bit: tension,
+    # flow, the flows sent and received, u, and the row's cocontent sum and
+    # flow . tension as the sweep's block rows reduce them, at signed zeros
+    # and overflowing states too.
+    B = data.draw(st.sampled_from([1, 2, 7, 64]))
+    pool = data.draw(st.lists(st.floats(-1e3, 1e3), max_size=8))
+    pool += [0.0, -0.0, 1.0, -1.0, 1e300, -1e300]
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    Y = rng.choice(pool, size=(B, net.node_count))
+    with np.errstate(over="ignore", invalid="ignore"):
+        block = net._coupling(Y, True)
+        zeta, mu, sent, received = block
+        m = net.edge_count
+        assert [part.shape for part in block] == [(B, m), (B, m), Y.shape, Y.shape]
+        sums = np.add.reduce(net._cocontent(zeta), axis=1)
+        u = net._coupling(Y)
+        for r, y in enumerate(Y):
+            one = net._coupling(y, True)
+            for got, want in zip(block, one):
+                assert got[r].tobytes() == want.tobytes()
+            assert u[r].tobytes() == net._coupling(y).tobytes()
+            assert u[r].tobytes() == (received[r] - sent[r]).tobytes()
+            assert sums[r].tobytes() == np.add.reduce(net._cocontent(one[0])).tobytes()
+            assert mu[r].dot(zeta[r]).tobytes() == one[1].dot(one[0]).tobytes()
+
+
 def _loop(objs, method, values):
     """Reference: one scalar call per edge or node."""
     return np.array([getattr(o, method)(float(v)) for o, v in zip(objs, values)])

@@ -12,7 +12,7 @@ from signet import sim
 from signet.analysis import equilibria_membership
 from signet.edgefn import Linear, Negated
 from signet.errors import NonFiniteState, ValidationError
-from signet.graph import Edge, Graph
+from signet.graph import Edge, Graph, laplacian
 from signet.network import _CHUNK_CELLS, NetworkSystem
 from signet.nodes import Identity
 from signet.sim import (
@@ -26,7 +26,7 @@ from signet.sim import (
 
 from conftest import SIX_X0
 from oracles import cocontent_profile, quadratic_storage_profile
-from test_network import EDGE_KINDS, NODE_KINDS
+from test_network import block_networks
 
 
 def linear_pair(w=1.0):
@@ -394,39 +394,6 @@ def stop_step(offset, k):
 
 
 @st.composite
-def block_networks(draw):
-    """A network carrying every edge kind, in random positions or dealt
-    round-robin by edge id, on nodes of one kind or of mixed kinds, whose
-    last two nodes grow apart from a start of (a, -a)."""
-    n = draw(st.integers(2, 8))
-    pairs = [(draw(st.integers(1, v - 1)), v) for v in range(2, n + 1)]
-    if draw(st.booleans()):
-        fns = draw(st.permutations([draw(kind) for kind in EDGE_KINDS]))
-    else:
-        # Kinds dealt round-robin by edge id, so that a group's positions
-        # are evenly spaced: three or four members at a step of one round.
-        kinds = draw(st.permutations(EDGE_KINDS))
-        fns = [draw(kind) for _ in range(draw(st.integers(3, 4))) for kind in kinds]
-    while len(pairs) < len(fns):
-        a, b = draw(st.lists(st.integers(1, n), min_size=2, max_size=2, unique=True))
-        pairs.append((a, b))
-    # Nodes n + 1 and n + 2, joined by a negated linear edge, grow apart
-    # from a start of (a, -a); a zero-weight edge ties them to the rest.
-    w = draw(st.floats(0.5, 5.0))
-    fns += [Negated(Linear(w)), Linear(0.0)]
-    pairs += [(n + 1, n + 2), (1, n + 1)]
-    dynamics = draw(st.sampled_from(["identity", "one", "mixed"]))
-    if dynamics == "identity":
-        nodes = [Identity()] * (n + 2)
-    elif dynamics == "one":
-        nodes = [draw(NODE_KINDS)] * (n + 2)
-    else:
-        nodes = draw(st.lists(NODE_KINDS, min_size=n + 2, max_size=n + 2))
-    edges = tuple(Edge(i + 1, a, b) for i, (a, b) in enumerate(pairs))
-    return NetworkSystem(Graph(n + 2, edges), nodes, fns)
-
-
-@st.composite
 def block_runs(draw):
     """A network of ``block_networks``, a start, and a SimConfig whose run
     stops at a chosen block offset (or wherever drawn thresholds make it
@@ -564,3 +531,49 @@ def test_block_stepper_raises_non_finite_as_the_oracle(n, which, offset):
     with pytest.raises(NonFiniteState) as raised:
         simulate(net, x0, cfg)
     assert str(raised.value) == message
+
+
+# --- linear runs against their eigendecomposition ------------------------------
+
+
+@st.composite
+def signed_linear_networks(draw):
+    """A connected network of 2 to 8 integrators joined by linear edges of
+    either sign, parallel edges included, and its weights."""
+    n = draw(st.integers(2, 8))
+    pairs = [(draw(st.integers(1, v - 1)), v) for v in range(2, n + 1)]
+    pairs += draw(st.lists(
+        st.lists(st.integers(1, n), min_size=2, max_size=2, unique=True), max_size=n))
+    w = draw(st.lists(st.floats(-2.0, 2.0), min_size=len(pairs), max_size=len(pairs)))
+    g = Graph(n, tuple(Edge(i + 1, a, b) for i, (a, b) in enumerate(pairs)))
+    return NetworkSystem(g, [Identity()] * n, [Linear(x) for x in w]), np.array(w)
+
+
+@given(case=signed_linear_networks(), data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_linear_runs_match_the_eigendecomposed_rk4_map(case, data):
+    # An oracle that shares none of the code's arithmetic: one RK4 step of
+    # x' = -L x, with L = E W E^T = V diag(lam) V^T, multiplies each mode
+    # of L by R(-lam dt), where R(z) = 1 + z + z^2/2 + z^3/6 + z^4/24.  The
+    # error of row k is measured against the largest that k steps can make
+    # of the start, max |R|^k |x0|, so that neither a decayed state nor a
+    # mode that the start leaves out (whose rounding alone then grows)
+    # inflates it; runs are cut before that factor passes 1e100.
+    net, w = case
+    n = net.node_count
+    x0 = np.array(data.draw(st.lists(st.floats(-10.0, 10.0), min_size=n, max_size=n)))
+    dt = data.draw(st.sampled_from([1e-3, 1e-2]))
+    lam, V = np.linalg.eigh(laplacian(net.graph, w))
+    z = -lam * dt
+    R = 1.0 + z + z**2 / 2.0 + z**3 / 6.0 + z**4 / 24.0
+    growth = np.log10(np.abs(R).max())
+    steps = 2000 if growth * 2000 <= 100.0 else int(100.0 / growth)
+    cfg = SimConfig(t_end=steps * dt, dt=dt, record_every=data.draw(st.sampled_from([1, 7, 64])),
+                    u_tol=1e-300, window=1e3, blowup_threshold=1e300)
+    run = simulate(net, x0, cfg)
+    k = np.rint(run.times / dt)
+    assert k[-1] == steps
+    want = (R ** k[:, None] * (V.T @ x0)) @ V.T
+    error = np.linalg.norm(run.states - want, axis=1)
+    scale = np.abs(R).max() ** k * np.linalg.norm(x0)
+    assert (error <= 1e-10 * scale).all()
