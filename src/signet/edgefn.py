@@ -268,7 +268,9 @@ class DeadZone(EdgeFunction):
     """mu = w * sign(zeta) * max(|zeta| - band, 0).
 
     Flat (zero) on [-band, band]; the classic sensor dead zone.  Positive but
-    not strictly positive for w > 0.
+    not strictly positive for w > 0.  Band 0 is the linear map w * zeta,
+    slope w included; the constructor rejects it, and only a network's
+    stacked group of linear and dead-zone edges holds it.
     """
 
     w: float
@@ -283,7 +285,7 @@ class DeadZone(EdgeFunction):
         return 0.5 * self.w * excess * excess
 
     def derivative(self, zeta: FloatOrArray) -> FloatOrArray:
-        return self.w * (np.abs(zeta) > self.band)
+        return self.w * ((np.abs(zeta) > self.band) | np.logical_not(self.band))
 
     def equilibria(self) -> EquilibriaInterval:
         if self.w == 0.0:
@@ -566,19 +568,20 @@ def classify_signs(chunks, count: int, grid: GridSpec) -> tuple[SignClass, ...]:
     positions cover 0 .. count - 1 once.  Called on the (1, samples) row of
     grid points, fn gives a block with one row of values per position, or
     one row standing for all of them.  The caller keeps blocks small.  Each
-    row gets the label, margin and witness that its function gets alone: a
-    first pass keeps the sign tests and the least and greatest
-    zeta*psi/zeta**2 of every row, and a second pass finds witnesses in the
-    chunks with a non-strict or indefinite row.  Raises ValidationError
-    when some zeta * psi(zeta) on the grid is not finite, which happens
-    when huge parameters overflow.
+    row gets the label, margin and witness that its function gets alone, in
+    one pass that evaluates each chunk once: it keeps the sign tests and the
+    least and greatest zeta*psi/zeta**2 of every row and, for each row that
+    is neither zero on the grid nor strict, the first zero product off the
+    origin and the first least product, from which the witness is chosen
+    after the pass.  Raises ValidationError when some zeta * psi(zeta) on
+    the grid is not finite, which happens when huge parameters overflow.
     """
     grid.validate(min_samples=101)
-    chunks = list(chunks)
     z = grid.points()
     # Rounding guard: products within 1e-12 of zero (relative to zeta**2)
     # count as zero, so exact dead zones classify cleanly.
     tol = 1e-12 * (1.0 + z * z)
+    neg_tol = -tol
     off_origin = np.abs(z) > _ORIGIN_TOL
     # zeta**2 off the origin and NaN on it, which fmin and fmax skip.
     z_sq = np.where(off_origin, z**2, np.nan)
@@ -587,34 +590,33 @@ def classify_signs(chunks, count: int, grid: GridSpec) -> tuple[SignClass, ...]:
     # point is): eps is the least, and the negative margin
     # min(-zeta*psi/zeta**2) is exactly -greatest.
     lo, hi = np.zeros(count), np.zeros(count)
+    # Witness candidates as grid indices, -1 for none.
+    first_zero, least = np.full(count, -1), np.full(count, -1)
     for positions, fn in chunks:
         p = z * fn(z[None, :])
         finite[positions] = np.isfinite(p).all(axis=1)
-        pos_ok[positions] = (p >= -tol).all(axis=1)
-        neg_ok[positions] = (p <= tol).all(axis=1)
+        pos_ok[positions] = pos = (p >= neg_tol).all(axis=1)
+        neg_ok[positions] = neg = (p <= tol).all(axis=1)
         ratios = p / z_sq
-        lo[positions] = np.fmin.reduce(ratios, axis=1)
-        hi[positions] = np.fmax.reduce(ratios, axis=1)
+        lo[positions] = low = np.fmin.reduce(ratios, axis=1)
+        hi[positions] = high = np.fmax.reduce(ratios, axis=1)
+        # Rows neither zero on the grid nor strict.
+        rows = np.flatnonzero(~(pos & (neg | (low > 0.0)) | neg & (high < 0.0)))
+        if rows.size:
+            at = positions if len(p) == 1 else positions[rows]
+            p = p[rows]
+            hits = (np.abs(p) <= tol) & off_origin
+            first_zero[at] = np.where(hits.any(axis=1), hits.argmax(axis=1), -1)
+            least[at] = p.argmin(axis=1)
     _require_finite(finite, "zeta * psi(zeta)", grid)
     strict_pos = pos_ok & ~neg_ok & (lo > 0.0)
     strict_neg = neg_ok & ~pos_ok & (-hi > 0.0)
-    zero = pos_ok & neg_ok
-    mixed = ~(pos_ok | neg_ok)
-    # Witnesses as grid indices, -1 for none: the last point when psi is
-    # zero on the grid, the first zero product off the origin when the
-    # class is not strict, the first least product when it is indefinite.
-    witness = np.where(zero, z.size - 1, -1)
-    need = ~(zero | strict_pos | strict_neg)
-    for positions, fn in chunks:
-        rows = np.flatnonzero(need[positions])
-        if not rows.size:
-            continue
-        p = z * fn(z[None, :])
-        p = p[rows] if len(p) > 1 else p
-        hits = (np.abs(p) <= tol) & off_origin
-        first = np.where(hits.any(axis=1), hits.argmax(axis=1), -1)
-        at = positions[rows]
-        witness[at] = np.where(mixed[at], p.argmin(axis=1), first)
+    # The last point when psi is zero on the grid, the first least product
+    # when the class is indefinite, else the first zero product off the
+    # origin (-1 when the class is strict).
+    witness = np.select(
+        [pos_ok & neg_ok, ~(pos_ok | neg_ok)], [z.size - 1, least], first_zero
+    )
     labels = np.select([strict_pos, pos_ok, strict_neg, neg_ok], [0, 1, 2, 3], 4)
     margins = np.where(strict_pos, lo, np.where(strict_neg, -hi, 0.0))
     points = z.tolist()

@@ -22,20 +22,21 @@ and scatter.  Otherwise a group whose positions are evenly spaced (a
 contiguous run, or every other edge) reads and writes them through a
 strided view; only irregular positions are gathered and scattered by an
 index array.  Linear edges join the dead-zone group when a network has
-both, bare or under a negation: a linear edge is a dead zone of band 0,
-whose flow and cocontent formulas then give the linear ones bit for bit
-(the slope takes a mask, and a cocontent at -NaN reads +NaN), so the two
-kinds cost one call.  Grouping reads only the type of each object unless
-some kind nests or has other than float parameters; a sampled table is
-keyed by the bytes of its knots, so equal tables share one group, and a
-negated one stacks as a table with negated knots, checked no more.
+both, bare or under a negation, and the group stacks as a plain DeadZone:
+a linear edge is a dead zone of band 0, whose flow, cocontent and slope
+formulas give the linear ones bit for bit (the slope by its band-0 rule; a
+cocontent at -NaN reads +NaN), so the two kinds cost one call.  Grouping
+reads only the type of each object unless some kind nests or has other
+than float parameters; a sampled table is keyed by the bytes of its knots,
+so equal tables share one group, and a negated one stacks as a table with
+negated knots, checked no more.
 Connectivity is checked by the union-find of ``graph.connected_components``.
 
 Grid certificates (sign classes, monotonicity) evaluate every edge on one
 shared row of tensions.  ``NetworkSystem.edge_chunks`` serves the groups
 for that in chunks of edges whose block of values stays under a fixed cell
-budget, with parameters stacked as columns, one row per edge: transposed
-(samples, k) blocks made classification about three times slower.
+budget, with the group's parameters as column views, one row per edge:
+transposed (samples, k) blocks made classification about three times slower.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 from collections.abc import Hashable
-from operator import attrgetter, itemgetter
+from operator import itemgetter
 from typing import Callable, Iterator, Optional, Sequence, Union
 
 import numpy as np
@@ -94,53 +95,49 @@ def _kind_key(obj) -> Hashable:
     return id(obj)
 
 
-def _stack(objs: Sequence, column: bool = False) -> object:
+def _stack(objs: Sequence) -> object:
     """One object of the common kind of objs whose float parameters are
-    arrays over objs, so its methods evaluate all of them at once.
-
-    With ``column`` the arrays are (k, 1) columns: called on a row of
-    tensions the object gives one row per member.
-    """
+    arrays over objs, so its methods evaluate all of them at once."""
     first = objs[0]
     if type(first) is ef.Negated and type(first.inner) is ef.SampledTable:
         # Negating the knots is exact and saves a negation per call.
         return first.inner.negated()
     if type(first) is ef.Negated:
-        return ef.Negated(_stack([o.inner for o in objs], column))
+        return ef.Negated(_stack([o.inner for o in objs]))
     if type(first) is ef.Sum:
-        return ef.Sum(
-            tuple(_stack(ts, column) for ts in zip(*(o.terms for o in objs)))
-        )
+        return ef.Sum(tuple(_stack(ts) for ts in zip(*(o.terms for o in objs))))
     kind = type(first)
     if len(set(map(type, objs))) > 1:  # linear edges in a dead-zone group
-        kind = _LinearOrDeadZone
+        kind = ef.DeadZone
     names = _float_fields(kind)
     if not names:
         return first
     # Every object was validated when it was built; the stack skips
-    # __post_init__, whose scalar checks do not apply to arrays.
+    # __post_init__, whose scalar checks do not apply to arrays.  A linear
+    # member of a dead-zone group has band 0.
     stacked = object.__new__(kind)
     for name in names:
-        if kind is _LinearOrDeadZone:
-            values = np.fromiter((getattr(o, name, 0.0) for o in objs), float, len(objs))
-        else:
-            values = np.fromiter(map(attrgetter(name), objs), float, len(objs))
-        object.__setattr__(stacked, name, values[:, None] if column else values)
-    if kind is _LinearOrDeadZone:
-        object.__setattr__(stacked, "_linear", stacked.band == 0.0)
+        values = np.fromiter((getattr(o, name, 0.0) for o in objs), float, len(objs))
+        object.__setattr__(stacked, name, values)
     return stacked
 
 
-class _LinearOrDeadZone(ef.DeadZone):
-    """Linear and dead-zone edges stacked as one dead zone whose band is 0
-    at the linear members.  There the dead-zone flow and cocontent give the
-    linear ones bit for bit, since |zeta| - 0 and max(|zeta|, 0) are exact,
-    copysign(|zeta|, zeta) is zeta and |zeta| * |zeta| is zeta * zeta (only
-    a NaN's sign is lost); the slope needs the mask ``_linear`` to be w at
-    zeta = 0 (and at NaN)."""
-
-    def derivative(self, zeta: ef.FloatOrArray) -> ef.FloatOrArray:
-        return self.w * ((np.abs(zeta) > self.band) | self._linear)
+def _columns(stacked, part: slice) -> object:
+    """The members ``part`` of a stacked object with their parameters as
+    (k, 1) column views: called on a row of tensions it gives one row per
+    member.  An object without array parameters is returned as it is."""
+    kind = type(stacked)
+    if kind is ef.Negated:
+        return ef.Negated(_columns(stacked.inner, part))
+    if kind is ef.Sum:
+        return ef.Sum(tuple(_columns(t, part) for t in stacked.terms))
+    names = _float_fields(kind)
+    if not names:
+        return stacked
+    columns = object.__new__(kind)
+    for name in names:
+        object.__setattr__(columns, name, getattr(stacked, name)[part, None])
+    return columns
 
 
 # Keys of a kind that joins another's group when both are present: a linear
@@ -355,9 +352,8 @@ class NetworkSystem:
                 yield positions, stacked
                 continue
             for start in range(0, positions.size, size):
-                part = positions[start : start + size]
-                members = [self.edge_functions[i] for i in part]
-                yield part, _stack(members, column=True)
+                part = slice(start, start + size)
+                yield positions[part], _columns(stacked, part)
 
     def node_input(self, x: np.ndarray) -> np.ndarray:
         """u as a function of the state, u = -E Psi(E^T x)."""

@@ -458,3 +458,10 @@ def test_09_lyapunov_and_cocontent_monotonicity(
         for net, tr in cocontent_runs:
             V = cocontent_profile(net, tr)
             assert np.all(np.diff(V) <= 1e-9)
+        # The diverging f2 run is the same gradient flow, x' = -grad C(x), so
+        # its cocontent must not rise either; C falls to about -1.9e12 before
+        # the blowup guard fires, so a rise is bounded relative to max |C|.
+        f2 = eleven_suite["runs"]["f2"]
+        assert f2["tr"].blowup
+        V = cocontent_profile(f2["net"], f2["tr"])
+        assert np.all(np.diff(V) <= 1e-12 * np.abs(V).max())

@@ -788,17 +788,24 @@ def flat_fn_specs(draw):
     return dict(draw(st.permutations(items)))
 
 
+# A table's knots: zetas below and above zero, a zero, and mu values.  Each
+# table draws whole lists of them; building a strategy per element made
+# drawing most of the columnar tests' time.
+_ZETAS_BELOW = st.lists(st.integers(-9, -1) | st.floats(-9, -0.01), max_size=3, unique=True)
+_ZETA_ABOVE = st.integers(1, 9) | st.floats(0.01, 9)
+_ZERO = st.sampled_from([0, 0.0])
+_MU = st.integers(-5, 5) | st.floats(-10, 10)
+
+
 @st.composite
 def table_specs(draw):
     """An inline sampled table, keys in a random order: 2-7 knots with
     strictly increasing zetas, one of them zero with mu zero there."""
-    below = draw(st.lists(st.integers(-9, -1) | st.floats(-9, -0.01),
-                          max_size=3, unique=True))
-    above = draw(st.lists(st.integers(1, 9) | st.floats(0.01, 9),
-                          min_size=0 if below else 1, max_size=3, unique=True))
-    zetas = sorted(below) + [draw(st.sampled_from([0, 0.0]))] + sorted(above)
-    mus = [draw(st.integers(-5, 5) | st.floats(-10, 10)) for _ in zetas]
-    mus[len(below)] = draw(st.sampled_from([0, 0.0]))
+    below = draw(_ZETAS_BELOW)
+    above = draw(st.lists(_ZETA_ABOVE, min_size=0 if below else 1, max_size=3, unique=True))
+    zetas = sorted(below) + [draw(_ZERO)] + sorted(above)
+    mus = draw(st.lists(_MU, min_size=len(zetas), max_size=len(zetas)))
+    mus[len(below)] = draw(_ZERO)
     items = [("kind", "sampled_table"), ("zeta", zetas), ("mu", mus)]
     return dict(draw(st.permutations(items)))
 
@@ -826,11 +833,12 @@ def edge_configs(draw):
     a random order, each function a leaf or nested over leaves."""
     m = draw(st.integers(1, 12))
     n = draw(st.integers(2, m + 1))
-    edges = []
-    for k in range(1, m + 1):
-        tail = draw(st.integers(1, n))
-        head = draw(st.integers(1, n).filter(lambda v: v != tail))
-        edges.append({"id": k, "tail": tail, "head": head, "fn": draw(fn_specs)})
+    # Every pair of distinct endpoints: a head drawn from the n - 1 others.
+    pairs = draw(st.lists(st.tuples(st.integers(1, n), st.integers(1, n - 1)),
+                          min_size=m, max_size=m))
+    fns = draw(st.lists(fn_specs, min_size=m, max_size=m))
+    edges = [{"id": k, "tail": a, "head": b + (b >= a), "fn": fn}
+             for k, ((a, b), fn) in enumerate(zip(pairs, fns), 1)]
     return {"nodes": {"count": n}, "edges": draw(st.permutations(edges))}
 
 

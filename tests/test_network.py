@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from signet import edgefn
 from signet.edgefn import (
     DeadZone,
     GridSpec,
@@ -26,7 +27,7 @@ from signet.circuit import edge_monotonicity
 from signet.config import parse_config
 from signet.errors import DimensionMismatch, ValidationError
 from signet.graph import Edge, Graph, incidence
-from signet.network import NetworkSystem
+from signet.network import _CHUNK_CELLS, NetworkSystem
 from signet.nodes import Identity, Saturating, SignPower
 
 from conftest import SIX_EDGES
@@ -338,6 +339,7 @@ def _loop(objs, method, values):
 @given(net=mixed_networks(), data=st.data())
 @settings(max_examples=150, deadline=None)
 def test_grouped_evaluation_matches_scalar_loop(net, data):
+    _assert_public_kinds(net)
     # numpy's vectorized power, sin and tanh may differ from its scalar
     # path by up to two ulps.
     values = st.floats(-10.0, 10.0, allow_nan=False)
@@ -428,13 +430,28 @@ def _tension_for(fn, draw):
                 | st.floats(-10.0, 10.0))
 
 
+def _assert_public_kinds(net):
+    """Every stacked group and chunk function, and every function nested in
+    one, is of a kind that ``signet.edgefn`` defines: a chunk of two edges
+    and a chunk of a whole group alike."""
+    stacked = [obj for _, obj in net._edge_groups]
+    for samples in (101, _CHUNK_CELLS // 2):
+        stacked += [fn for _, fn in net.edge_chunks(samples)]
+    while stacked:
+        obj = stacked.pop()
+        assert getattr(edgefn, type(obj).__name__, None) is type(obj), type(obj)
+        stacked += [obj.inner] if isinstance(obj, Negated) else list(getattr(obj, "terms", ()))
+
+
 @given(net=linear_dead_zone_networks(), data=st.data())
 @settings(max_examples=100, deadline=None)
 def test_joined_linear_dead_zone_group_evaluates_exactly(net, data):
     fns = net.edge_functions
-    # Every linear edge sits in a dead-zone group, bare or negated alike.
+    # Every linear edge sits in a dead-zone group, bare or negated alike,
+    # stacked as a plain DeadZone.
     kinds = {type(f.inner) if isinstance(f, Negated) else type(f) for f in fns}
     assert len(net._edge_groups) == 2 + (PowerSign in kinds)
+    _assert_public_kinds(net)
     zeta = np.array([[_tension_for(f, data.draw) for f in fns] for _ in range(3)])
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
         for name, method in (("flow", "__call__"), ("cocontent", "cocontent"),

@@ -9,7 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from signet import sim
-from signet.analysis import equilibria_membership
+from signet.analysis import equilibria_membership, signed_laplacian_min_eigenvalue
 from signet.edgefn import Linear, Negated
 from signet.errors import NonFiniteState, ValidationError
 from signet.graph import Edge, Graph, laplacian
@@ -577,3 +577,22 @@ def test_linear_runs_match_the_eigendecomposed_rk4_map(case, data):
     error = np.linalg.norm(run.states - want, axis=1)
     scale = np.abs(R).max() ** k * np.linalg.norm(x0)
     assert (error <= 1e-10 * scale).all()
+    # classify_outcome against the sign of the least eigenvalue off the
+    # agreement space, where RK4 damps every positive mode.  Each bound below
+    # holds on the exact state; signs within 1e-6 of zero are not judged.
+    lam_min = signed_laplacian_min_eigenvalue(net.graph, w)
+    if np.abs(R[lam > 0]).max(initial=0.0) < 1.0:
+        outcome = classify_outcome(net, run, cfg).kind
+        tol = cfg.cluster_tol
+        if lam_min > 1e-6:
+            assert outcome is not OutcomeKind.DIVERGENCE
+            # A steady end: from |x - mean|_2 <= |L x|_2 / lam_min, the
+            # spread is at most sqrt(2 n) |u|_inf / lam_min < tol / 2.
+            if run.final_u_norm < lam_min * tol / (2.0 * math.sqrt(2.0 * n)):
+                assert outcome is OutcomeKind.AGREEMENT
+        elif lam_min < -1e-6:
+            # The growing modes' part of the last row bounds the spread from
+            # below: max - min >= |x - mean|_2 / sqrt(n).
+            grown = np.linalg.norm((R**steps * (V.T @ x0))[lam < -1e-6])
+            if grown - 1e-10 * scale[-1] > math.sqrt(n) * tol:
+                assert outcome is not OutcomeKind.AGREEMENT
